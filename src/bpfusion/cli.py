@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -41,6 +42,21 @@ from .w3modular import DEFAULT_TOL, W3SMatrix
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_VERIFY = 2
+
+
+class ToleranceError(ValueError):
+    """A numerical tolerance that is not a finite number > 0."""
+
+
+def parse_tol(text: str, source: str) -> float:
+    """The tolerance given as `text` by `source` (--tol or BPFUSION_TOL)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise ToleranceError(f"{source} must be a finite number > 0, got {text!r}")
+    return tol
 
 
 def _emit(args, payload):
@@ -220,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("labels", nargs="*" if nlabels == 0 else nlabels, metavar="LABEL")
         p.add_argument("--json", action="store_true", default=True, dest="json_out")
         p.add_argument("--table", action="store_true")
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", default=None)
         p.add_argument("--depth", type=int, default=None)
         p.add_argument("--out", default=None)
         if name == "verify":
@@ -234,14 +250,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep 2 for verification failures only
         return EXIT_DOMAIN if exc.code not in (0, None) else EXIT_OK
-    if args.tol is None:
-        args.tol = float(os.environ.get("BPFUSION_TOL", DEFAULT_TOL))
     handler, _ = COMMANDS[args.command]
     try:
+        if args.tol is not None:
+            args.tol = parse_tol(args.tol, "--tol")
+        elif "BPFUSION_TOL" in os.environ:
+            args.tol = parse_tol(os.environ["BPFUSION_TOL"], "BPFUSION_TOL")
+        else:
+            args.tol = DEFAULT_TOL
         params = level_params(args.u, args.v)
         payload = handler(params, args)
     except (ValueError, ZeroDivisionError, NotStabilisedError) as exc:
-        # AdmissibilityError, LabelError and GapDivergenceError all land here
+        # AdmissibilityError, LabelError, GapDivergenceError and ToleranceError land here
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OracleError as exc:

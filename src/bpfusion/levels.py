@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 
 class AdmissibilityError(ValueError):
@@ -215,6 +216,21 @@ def enumerate_infwts(params: LevelParams) -> list[OrbitClass]:
             out.append(orb)
     out.sort()
     return out
+
+
+@lru_cache(maxsize=None)
+def _orbit_index(u: int, v: int) -> MappingProxyType:
+    index = {}
+    for orb in enumerate_infwts(level_params(u, v)):
+        for member in orb.members:
+            index[member] = orb
+    return MappingProxyType(index)
+
+
+def orbit_index(params: LevelParams) -> MappingProxyType:
+    """Every interior label mapped to its orbit: a read-only view, built
+    once per (u, v).  A label is a key exactly when `orbit_of` accepts it."""
+    return _orbit_index(params.u, params.v)
 
 
 # ---------------------------------------------------------------------------

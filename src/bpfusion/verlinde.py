@@ -31,12 +31,13 @@ from .levels import (
     hw_data,
     j_of,
     jtw_of,
+    orbit_index,
     orbit_of,
     sigma,
     vacuum_orbit,
 )
 from .sl3 import fusion_table, kac_walton
-from .w3modular import _cached_smatrix, cexp, w3_fusion, w3_fusion_with_label
+from .w3modular import _cached_smatrix, cexp, w3_fusion, w3_fusion_support, w3_fusion_with_label
 
 HALF = Fraction(1, 2)
 
@@ -128,27 +129,32 @@ def _omega_shift(s, i: int, sign: int):
 
 
 def fuse_standard(params: LevelParams, a: StandardLabel, b: StandardLabel) -> FormalSum:
-    """Grothendieck fusion of two standard labels (closed form)."""
+    """Grothendieck fusion of two standard labels (closed form).
+
+    The plain W3 product contributes at flows ell + 2 and ell - 1; the
+    products with the six omega-shifted s-labels of b contribute at ell + 1
+    (shift down) and ell (shift up).  A shifted label with a -1 entry sits on
+    the alcove boundary, is no key of the orbit index, and contributes nothing.
+    """
     kappa = params.kappa
     ell = a.ell + b.ell
     jj = a.j + b.j
-    rep = b.orbit.rep
-    out = FormalSum()
-    for orb in _cached_smatrix(params).orbits:
+    terms = []
+    for orb in w3_fusion_support(params, a.orbit, b.orbit):
         n = w3_fusion(params, a.orbit, b.orbit, orb)
-        if n:
-            out = out + n * FormalSum.lone(standard_label(jj - 4 * kappa, orb, ell + 2))
-            out = out + n * FormalSum.lone(standard_label(jj + 2 * kappa, orb, ell - 1))
-        for i in range(3):
-            shifted = RSLabel(rep.r, _omega_shift(rep.s, i, -1))
-            n_minus = w3_fusion_with_label(params, a.orbit, shifted, orb)
-            if n_minus:
-                out = out + n_minus * FormalSum.lone(standard_label(jj - 2 * kappa, orb, ell + 1))
-            shifted = RSLabel(rep.r, _omega_shift(rep.s, i, +1))
-            n_plus = w3_fusion_with_label(params, a.orbit, shifted, orb)
-            if n_plus:
-                out = out + n_plus * FormalSum.lone(standard_label(jj, orb, ell))
-    return out
+        terms.append((standard_label(jj - 4 * kappa, orb, ell + 2), n))
+        terms.append((standard_label(jj + 2 * kappa, orb, ell - 1), n))
+    rep = b.orbit.rep
+    index = orbit_index(params)
+    for i in range(3):
+        for sign, j_out, ell_out in ((-1, jj - 2 * kappa, ell + 1), (+1, jj, ell)):
+            shifted = RSLabel(rep.r, _omega_shift(rep.s, i, sign))
+            if shifted not in index:
+                continue
+            for orb in w3_fusion_support(params, a.orbit, index[shifted]):
+                n = w3_fusion_with_label(params, a.orbit, shifted, orb)
+                terms.append((standard_label(j_out, orb, ell_out), n))
+    return FormalSum(terms)
 
 
 def fuse_type3_standard(params: LevelParams, a: HWLabel, b: StandardLabel) -> FormalSum:
@@ -156,12 +162,11 @@ def fuse_type3_standard(params: LevelParams, a: HWLabel, b: StandardLabel) -> Fo
     ell, mid = _type3_middle_form(params, a)
     under = orbit_of(params, RSLabel(mid.r, (params.v - 3, 0, 0)))
     jj = j_of(params, mid) + b.j
-    out = FormalSum()
-    for orb in _cached_smatrix(params).orbits:
-        n = w3_fusion(params, under, b.orbit, orb)
-        if n:
-            out = out + n * FormalSum.lone(standard_label(jj, orb, HalfInt.of(ell) + b.ell))
-    return out
+    flow = HalfInt.of(ell) + b.ell
+    return FormalSum(
+        (standard_label(jj, orb, flow), w3_fusion(params, under, b.orbit, orb))
+        for orb in w3_fusion_support(params, under, b.orbit)
+    )
 
 
 def fuse_type3_type3(params: LevelParams, a: HWLabel, b: HWLabel) -> FormalSum:
@@ -170,25 +175,30 @@ def fuse_type3_type3(params: LevelParams, a: HWLabel, b: HWLabel) -> FormalSum:
     ell_a, mid_a = _type3_middle_form(params, a)
     ell_b, mid_b = _type3_middle_form(params, b)
     ell = HalfInt.of(ell_a + ell_b)
-    out = FormalSum()
-    level = params.u - 3
-    for rpp, n in fusion_table(level, mid_a.r, mid_b.r).items():
-        target = hw_label(params, RSLabel(rpp, (v - 2, -1, 0)), ell)
-        out = out + n * FormalSum.lone(target)
-    return out
+    return FormalSum(
+        (hw_label(params, RSLabel(rpp, (v - 2, -1, 0)), ell), n)
+        for rpp, n in fusion_table(params.u - 3, mid_a.r, mid_b.r).items()
+    )
 
 
 # ---------------------------------------------------------------------------
 # General fusion via resolutions
 
 
-def _exact_hw_standard_product(params: LevelParams, a: HWLabel, b: StandardLabel, top: int) -> FormalSum:
+def _exact_hw_standard_product(
+    params: LevelParams, a: HWLabel, b: StandardLabel, top: int, memo: dict
+) -> FormalSum:
     """Distribute the resolution of `a` through standard fusion; exact for
-    output flows <= top."""
+    output flows <= top.  `memo` maps (term, b) to fuse_standard(term, b)."""
     depth = top - b.ell.twice // 2 - a.ell.twice // 2 + 4
     res = resolution(params, a, max(depth, 1))
-    out = FormalSum.combine((fuse_standard(params, term, b), coeff) for term, coeff in res)
-    return out.restrict(lambda lab: lab.ell.twice <= 2 * top)
+    parts = []
+    for term, coeff in res:
+        key = (term, b)
+        if key not in memo:
+            memo[key] = fuse_standard(params, term, b)
+        parts.append((memo[key], coeff))
+    return FormalSum.combine(parts).restrict(lambda lab: lab.ell.twice <= 2 * top)
 
 
 def _stable_zone(fs: FormalSum, top: int, width: int) -> bool:
@@ -224,10 +234,12 @@ def fuse_general(params: LevelParams, a, b, depth: int | None = None) -> FormalS
     base = (a.ell.twice + b.ell.twice) // 2 + 2
     period = 3 * v
     margin = 4
+    # the second, deeper pass repeats every standard product of the first
+    memo: dict[tuple, FormalSum] = {}
 
     def compute(top: int) -> FormalSum:
         if isinstance(b, StandardLabel):
-            raw = _exact_hw_standard_product(params, a, b, top)
+            raw = _exact_hw_standard_product(params, a, b, top, memo)
         else:
             res_b = resolution(params, b, top - (a.ell.twice + b.ell.twice) // 2 + margin)
             cache: dict[tuple, FormalSum] = {}
@@ -236,7 +248,9 @@ def fuse_general(params: LevelParams, a, b, depth: int | None = None) -> FormalS
                 key = (term.j, term.orbit)
                 if key not in cache:
                     base_term = StandardLabel(HalfInt.of(0), term.j, term.orbit)
-                    cache[key] = _exact_hw_standard_product(params, a, base_term, top + 1 - term.ell.twice // 2)
+                    cache[key] = _exact_hw_standard_product(
+                        params, a, base_term, top + 1 - term.ell.twice // 2, memo
+                    )
                 parts.append((cache[key].shifted(params, term.ell), coeff))
             raw = FormalSum.combine(parts).restrict(lambda lab: lab.ell.twice <= 2 * top)
         if _stable_zone(raw, top, period):
@@ -264,6 +278,9 @@ def fuse_general(params: LevelParams, a, b, depth: int | None = None) -> FormalS
 
 def fuse(params: LevelParams, a, b, depth: int | None = None) -> FormalSum:
     """Fusion dispatcher: closed forms where they exist, resolutions otherwise."""
+    for x in (a, b):
+        if not isinstance(x, (HWLabel, StandardLabel)):
+            raise LabelError(f"fusion takes highest-weight or standard labels, not {x}")
     if isinstance(a, StandardLabel) and isinstance(b, StandardLabel):
         return fuse_standard(params, a, b)
     if isinstance(a, StandardLabel) or isinstance(b, StandardLabel):
@@ -278,11 +295,9 @@ def fuse(params: LevelParams, a, b, depth: int | None = None) -> FormalSum:
 
 def fuse_sums(params: LevelParams, fa: FormalSum, fb: FormalSum, depth: int | None = None) -> FormalSum:
     """Bilinear extension of `fuse` to formal sums."""
-    out = FormalSum()
-    for la, ca in fa:
-        for lb, cb in fb:
-            out = out + (ca * cb) * fuse(params, la, lb, depth)
-    return out
+    return FormalSum.combine(
+        (fuse(params, la, lb, depth), ca * cb) for la, ca in fa for lb, cb in fb
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .levels import (
     conjugate_orbit,
     enumerate_infwts,
     jtw_of,
+    orbit_index,
     orbit_of,
     sigma,
     vacuum_orbit,
@@ -29,6 +30,7 @@ from .sl3 import (
     OMEGA,
     WEYL,
     _mat_apply,
+    fusion_table,
     ip,
     kac_walton,
     triality,
@@ -91,6 +93,7 @@ class W3SMatrix:
     def __init__(self, params: LevelParams):
         self.params = params
         self.orbits = enumerate_infwts(params)
+        self._position = {orb: i for i, orb in enumerate(self.orbits)}
         n = len(self.orbits)
         self.matrix = np.empty((n, n), dtype=complex)
         for i, a in enumerate(self.orbits):
@@ -98,13 +101,16 @@ class W3SMatrix:
                 self.matrix[i, jx] = w3_smatrix_entry(params, a.rep, b.rep)
 
     def index(self, orbit: OrbitClass) -> int:
-        return self.orbits.index(orbit)
+        try:
+            return self._position[orbit]
+        except KeyError:
+            raise LabelError(f"{orbit} is not an orbit at ({self.params.u},{self.params.v})") from None
 
     def entry(self, a: OrbitClass, b: OrbitClass) -> complex:
         return self.matrix[self.index(a), self.index(b)]
 
     def conjugation_permutation(self) -> list[int]:
-        return [self.orbits.index(conjugate_orbit(self.params, orb)) for orb in self.orbits]
+        return [self.index(conjugate_orbit(self.params, orb)) for orb in self.orbits]
 
     def is_symmetric(self, tol: float = DEFAULT_TOL) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.T)) <= tol)
@@ -271,6 +277,21 @@ def w3_fusion(params: LevelParams, a: OrbitClass, b: OrbitClass, c: OrbitClass) 
     return n_r * kac_walton(params.v - 3, ra.s, rb.s, rc.s)
 
 
+def w3_fusion_support(params: LevelParams, a: OrbitClass, b: OrbitClass) -> list[OrbitClass]:
+    """The orbits c where w3_fusion(a, b, c) can be nonzero, each once.
+
+    On the representatives w3_fusion picks, the product is the level-(u-3)
+    fusion table of the r-triples times the level-(v-3) table of the
+    s-triples.  Each pair (r''; s'') drawn from the two tables is the picked
+    representative of its own orbit, so distinct pairs give distinct orbits.
+    """
+    use_r = _use_r_condition(params)
+    ra, rb = _select_rep(params, a, use_r), _select_rep(params, b, use_r)
+    index = orbit_index(params)
+    s_side = fusion_table(params.v - 3, ra.s, rb.s)
+    return [index[RSLabel(r, s)] for r in fusion_table(params.u - 3, ra.r, rb.r) for s in s_side]
+
+
 def w3_fusion_with_label(params: LevelParams, a: OrbitClass, b_label: RSLabel, c: OrbitClass) -> int:
     """Fusion against an explicit (r; s) label whose s-triple may sit on a
     shifted alcove boundary; boundary labels have vanishing S-rows and
@@ -279,7 +300,10 @@ def w3_fusion_with_label(params: LevelParams, a: OrbitClass, b_label: RSLabel, c
         return 0
     if any(x < -1 for x in b_label.s) or any(x < 0 for x in b_label.r):
         raise LabelError(f"{b_label} is outside the extended label range")
-    return w3_fusion(params, a, orbit_of(params, b_label), c)
+    b = orbit_index(params).get(b_label)
+    if b is None:
+        raise LabelError(f"{b_label} is not an interior label at ({params.u},{params.v})")
+    return w3_fusion(params, a, b, c)
 
 
 def w3_verlinde(params: LevelParams, a: OrbitClass, b: OrbitClass, c: OrbitClass) -> float:

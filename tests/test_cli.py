@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bpfusion.cli import main
 from bpfusion.labels import parse_label
 from bpfusion.levels import level_params
@@ -98,6 +100,34 @@ class TestErrors:
     def test_unknown_suite(self, capsys):
         code, _ = run(capsys, "verify", "4", "3", "--suite", "nope")
         assert code == 1
+
+    @pytest.mark.parametrize("other", ["[0,0,0;1,0,0]", "[[0,0,0;1,0,0]]"])
+    def test_fuse_rejects_weight_and_orbit_labels(self, capsys, other):
+        for labels in (("R~[1/7;[[0,0,0;1,0,0]]]^0", other), (other, "R~[1/7;[[0,0,0;1,0,0]]]^0")):
+            code = main(["fuse", "3", "4", *labels])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "abc"])
+    def test_bad_tolerance_flag(self, capsys, tol):
+        code = main(["verify", "4", "3", "--suite", "w3-unitarity", "--tol", tol])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: --tol") and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["abc", "nan", "-1"])
+    def test_bad_tolerance_env(self, capsys, monkeypatch, tol):
+        monkeypatch.setenv("BPFUSION_TOL", tol)
+        code = main(["verify", "4", "3", "--suite", "w3-unitarity"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: BPFUSION_TOL") and "Traceback" not in err
+
+    def test_tolerance_flag_overrides_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("BPFUSION_TOL", "abc")
+        code, out = run(capsys, "verify", "4", "3", "--suite", "w3-unitarity", "--tol", "1e-8")
+        assert code == 0 and json.loads(out)["ok"]
 
 
 class TestRoundTrip:

@@ -26,11 +26,13 @@ from bpfusion.levels import (
     RSLabel,
     enumerate_infwts,
     enumerate_surv,
+    j_of,
     level_params,
     orbit_of,
 )
 from bpfusion.verlinde import (
     GapDivergenceError,
+    _type3_middle_form,
     fuse,
     fuse_general,
     fuse_standard,
@@ -44,7 +46,13 @@ from bpfusion.verlinde import (
     vacuum_kernel,
     verlinde_oracle,
 )
-from bpfusion.w3modular import _cached_smatrix, cexp
+from bpfusion.w3modular import (
+    _cached_smatrix,
+    cexp,
+    w3_fusion,
+    w3_fusion_support,
+    w3_fusion_with_label,
+)
 
 
 def lab(r, s):
@@ -744,3 +752,118 @@ class TestSubring:
 
     def test_3_v_is_trivial(self):
         assert subring_iso_check(level_params(3, 5))
+
+
+# ---------------------------------------------------------------------------
+# The sparse closed forms against the dense all-orbit loops they replaced
+
+SPARSE_LEVELS = [
+    (u, v) for u in range(3, 8) for v in range(3, 8) if u != v and math.gcd(u, v) == 1
+]
+
+
+def _omega_shift(s, i, sign):
+    out = list(s)
+    out[i] += sign
+    out[(i + 1) % 3] -= sign
+    return tuple(out)
+
+
+def dense_fuse_standard(p, a, b):
+    """fuse_standard as an all-orbit loop, with one w3_fusion call per term."""
+    kappa = p.kappa
+    ell = a.ell + b.ell
+    jj = a.j + b.j
+    rep = b.orbit.rep
+    out = FormalSum()
+    for orb in enumerate_infwts(p):
+        n = w3_fusion(p, a.orbit, b.orbit, orb)
+        if n:
+            out = out + n * FormalSum.lone(standard_label(jj - 4 * kappa, orb, ell + 2))
+            out = out + n * FormalSum.lone(standard_label(jj + 2 * kappa, orb, ell - 1))
+        for i in range(3):
+            shifted = RSLabel(rep.r, _omega_shift(rep.s, i, -1))
+            n_minus = w3_fusion_with_label(p, a.orbit, shifted, orb)
+            if n_minus:
+                out = out + n_minus * FormalSum.lone(standard_label(jj - 2 * kappa, orb, ell + 1))
+            shifted = RSLabel(rep.r, _omega_shift(rep.s, i, +1))
+            n_plus = w3_fusion_with_label(p, a.orbit, shifted, orb)
+            if n_plus:
+                out = out + n_plus * FormalSum.lone(standard_label(jj, orb, ell))
+    return out
+
+
+def dense_fuse_type3_standard(p, a, b):
+    """fuse_type3_standard as an all-orbit loop."""
+    ell, mid = _type3_middle_form(p, a)
+    under = orbit_of(p, RSLabel(mid.r, (p.v - 3, 0, 0)))
+    jj = j_of(p, mid) + b.j
+    out = FormalSum()
+    for orb in enumerate_infwts(p):
+        n = w3_fusion(p, under, b.orbit, orb)
+        if n:
+            out = out + n * FormalSum.lone(standard_label(jj, orb, HalfInt.of(ell) + b.ell))
+    return out
+
+
+def _random_standard(rng, orbs):
+    j = Fraction(rng.randrange(-40, 41), rng.choice((7, 11, 13, 60)))
+    return standard_label(j, rng.choice(orbs), HalfInt(rng.randrange(-6, 7)))
+
+
+class TestSparseFusionKernel:
+    def test_grid_reaches_the_s_side_branch(self):
+        # u divisible by 3 leaves no root-lattice r-representative
+        assert {(6, 5), (3, 7)} <= {uv for uv in SPARSE_LEVELS if uv[0] % 3 == 0}
+
+    @pytest.mark.parametrize("u,v", SPARSE_LEVELS)
+    def test_support_is_the_nonzero_set(self, u, v):
+        p = level_params(u, v)
+        orbs = enumerate_infwts(p)
+        for a, b in itertools.product(orbs, repeat=2):
+            support = w3_fusion_support(p, a, b)
+            assert len(support) == len(set(support))
+            assert set(support) == {c for c in orbs if w3_fusion(p, a, b, c)}
+
+    @pytest.mark.parametrize("u,v", SPARSE_LEVELS)
+    def test_fuse_standard_matches_dense_loop(self, u, v):
+        p = level_params(u, v)
+        orbs = enumerate_infwts(p)
+        rng = random.Random(1000 * u + v)
+        for _ in range(40):
+            a, b = _random_standard(rng, orbs), _random_standard(rng, orbs)
+            sparse, dense = fuse_standard(p, a, b), dense_fuse_standard(p, a, b)
+            assert sparse == dense and str(sparse) == str(dense)
+
+    @pytest.mark.parametrize("u,v", SPARSE_LEVELS)
+    def test_fuse_type3_standard_matches_dense_loop(self, u, v):
+        p = level_params(u, v)
+        orbs = enumerate_infwts(p)
+        type3 = [x for x in enumerate_surv(p) if orbit_type(p, x) == 3]
+        rng = random.Random(1000 * u + v)
+        for _ in range(40):
+            a = hw_label(p, rng.choice(type3), HalfInt(rng.randrange(-6, 7)))
+            b = _random_standard(rng, orbs)
+            sparse, dense = fuse_type3_standard(p, a, b), dense_fuse_type3_standard(p, a, b)
+            assert sparse == dense and str(sparse) == str(dense)
+
+    def test_fuse_sums_is_bilinear(self):
+        p = level_params(5, 3)
+        orbs = enumerate_infwts(p)
+        x = standard_label(Fraction(1, 7), orbs[0], 0)
+        y = standard_label(Fraction(2, 7), orbs[1], 1)
+        z = standard_label(Fraction(3, 7), orbs[1], -1)
+        fa = FormalSum([(x, 2), (y, -1)])
+        fb = FormalSum([(z, 3)])
+        expected = 6 * fuse(p, x, z) - 3 * fuse(p, y, z)
+        assert fuse_sums(p, fa, fb) == expected
+
+    def test_fuse_rejects_bare_weights_and_orbits(self):
+        p = level_params(3, 4)
+        o = orb34(p)
+        b = standard_label(Fraction(1, 7), o, 0)
+        for bad in (o.rep, o):
+            with pytest.raises(LabelError):
+                fuse(p, b, bad)
+            with pytest.raises(LabelError):
+                fuse(p, bad, b)
