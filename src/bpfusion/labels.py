@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .levels import (
     LabelError,
@@ -18,8 +20,10 @@ from .levels import (
     OrbitClass,
     RSLabel,
     check_surv,
+    enumerate_infwts,
     in_infwts,
     jtw_of,
+    level_params,
     orbit_of,
     sigma,
     sigma_inv,
@@ -201,10 +205,32 @@ def conjugate_twisted_hw(params: LevelParams, label: HWLabel) -> HWLabel:
 # Standard labels: gaps, conversions
 
 
+@lru_cache(maxsize=None)
+def _gap_table(u: int, v: int) -> MappingProxyType:
+    params = level_params(u, v)
+    return MappingProxyType(
+        {
+            orb: tuple((m, _mod1(jtw_of(params, m) + params.kappa)) for m in orb.members)
+            for orb in enumerate_infwts(params)
+        }
+    )
+
+
+def gap_table(params: LevelParams) -> MappingProxyType:
+    """Every orbit mapped to its members, each with the charge at which the
+    standard family over the orbit is nonsimple (integral-flow grading): a
+    read-only view, built once per (u, v)."""
+    return _gap_table(params.u, params.v)
+
+
 def gap_member(params: LevelParams, label: StandardLabel) -> RSLabel | None:
     """The orbit member whose attached charge equals the label's, if any."""
-    for member in label.orbit.members:
-        if _mod1(jtw_of(params, member) + params.kappa) == label.j:
+    try:
+        members = gap_table(params)[label.orbit]
+    except KeyError:
+        raise LabelError(f"{label.orbit} is not an orbit at ({params.u},{params.v})") from None
+    for member, charge in members:
+        if charge == label.j:
             return member
     return None
 

@@ -34,7 +34,6 @@ from .levels import (
     orbit_index,
     orbit_of,
     sigma,
-    vacuum_orbit,
 )
 from .sl3 import fusion_table, kac_walton
 from .w3modular import _cached_smatrix, cexp, w3_fusion, w3_fusion_support, w3_fusion_with_label
@@ -304,32 +303,22 @@ def fuse_sums(params: LevelParams, fa: FormalSum, fb: FormalSum, depth: int | No
 # Independent Verlinde oracle
 
 
+# An oracle factor is (orbit, m_freq, two_k, d_power, conj): the S-matrix row
+# of `orbit` (conjugated when `conj`), the charge frequency m_freq, twice the
+# flow frequency, and the power of the denominator D the factor carries.
+
+
 def _standard_factor(params: LevelParams, x: StandardLabel, conj: bool):
     kappa = params.kappa
-    lx = x.ell.as_fraction()
     sign = -1 if conj else 1
-    return {
-        "orbit": x.orbit,
-        "m_freq": sign * (2 * kappa * lx + (x.j - kappa)),
-        "k_freq": sign * lx,
-        "d_power": 0,
-        "conj": conj,
-        "type3_under": None,
-    }
+    return (x.orbit, sign * (kappa * x.ell.twice + (x.j - kappa)), sign * x.ell.twice, 0, conj)
 
 
 def _type3_factor(params: LevelParams, x: HWLabel):
-    kappa = params.kappa
-    ell, mid = _type3_middle_form(params, x)
+    _, mid = _type3_middle_form(params, x)
     under = orbit_of(params, RSLabel(mid.r, (params.v - 3, 0, 0)))
-    return {
-        "orbit": under,
-        "m_freq": 2 * kappa * (ell - HALF) + j_of(params, mid),
-        "k_freq": ell - HALF,
-        "d_power": -1,
-        "conj": False,
-        "type3_under": mid,
-    }
+    two_k = x.ell.twice - 3  # 2 (ell - 1/2) with ell = x.ell - 1
+    return (under, params.kappa * two_k + j_of(params, mid), two_k, -1, False)
 
 
 def verlinde_oracle(params: LevelParams, a, b, candidate: StandardLabel) -> int:
@@ -351,46 +340,33 @@ def verlinde_oracle(params: LevelParams, a, b, candidate: StandardLabel) -> int:
             factors.append(_type3_factor(params, x))
         else:
             raise LabelError(f"oracle input {x} must be standard or type-3")
-    if sum(1 for f in factors if f["d_power"] == -1) > 1:
+    if sum(1 for f in factors if f[3] == -1) > 1:
         raise LabelError("at most one type-3 input: two leave a live denominator")
     factors.append(_standard_factor(params, candidate, conj=True))
-    kappa = params.kappa
-    vac_under = vacuum_orbit(params)
 
-    m_total = sum(f["m_freq"] for f in factors) + kappa
+    m_total = sum(f[1] for f in factors) + params.kappa
     if _mod1(m_total) != 0:
         return 0
-    k_total = sum(f["k_freq"] for f in factors) + HALF
-    d_total = sum(f["d_power"] for f in factors) + 1
+    two_k = sum(f[2] for f in factors) + 1
+    d_total = sum(f[3] for f in factors) + 1
     assert d_total in (0, 1)
 
     smat = _cached_smatrix(params)
-    total = 0j
-    two_k = 2 * k_total
-    assert two_k.denominator == 1
-    two_k = int(two_k)
-    for mu in smat.orbits:
-        coeff = 1 + 0j
-        for f in factors:
-            entry = smat.entry(f["orbit"], mu)
-            coeff *= entry.conjugate() if f["conj"] else entry
-        coeff /= smat.entry(vac_under, mu)
-        if d_total == 0:
-            kint = 1.0 if two_k == 0 else 0.0
-        else:
-            # expand D(k, mu) = y^3 + y^-3 - sum_i (y w_i + y^-1 w_i*) against y^{-2K}
-            kint = 0j
-            if two_k == 3:
-                kint += 1
-            if two_k == -3:
-                kint += 1
-            for member in mu.members:
-                w_i = cexp(jtw_of(params, member))
-                if two_k == 1:
-                    kint -= w_i
-                if two_k == -1:
-                    kint -= w_i.conjugate()
-        total += coeff * kint
+    # with no D left only 2K = 0 survives; otherwise expand
+    # D(k, mu) = y^3 + y^-3 - sum_i (y w_i + y^-1 w_i*) against y^{-2K}
+    if (d_total == 0 and two_k == 0) or (d_total == 1 and two_k in (3, -3)):
+        weight = 1
+    elif d_total == 1 and two_k == 1:
+        weight = -smat.member_phase_sum
+    elif d_total == 1 and two_k == -1:
+        weight = -smat.member_phase_sum.conj()
+    else:
+        return 0
+    terms = smat.vacuum_inverse * weight
+    for orbit, _, _, _, conj in factors:
+        row = smat.matrix[smat.index(orbit)]
+        terms = terms * (row.conj() if conj else row)
+    total = complex(terms.sum())
     rounded = round(total.real)
     if abs(total - rounded) > 1e-6:
         raise OracleError(f"oracle value {total} is not an integer")

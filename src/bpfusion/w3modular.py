@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .levels import (
     conjugate_orbit,
     enumerate_infwts,
     jtw_of,
+    level_params,
     orbit_index,
     orbit_of,
     sigma,
@@ -66,6 +68,13 @@ def _weyl_sum(scale: Fraction, a, b) -> complex:
     return total
 
 
+def _distinct(items) -> tuple[list, list[int]]:
+    """The distinct items in first-seen order, and each item's position among them."""
+    where: dict = {}
+    positions = [where.setdefault(x, len(where)) for x in items]
+    return list(where), positions
+
+
 def w3_smatrix_entry(params: LevelParams, a: RSLabel, b: RSLabel) -> complex:
     """S-matrix entry between the modules labelled by two (r; s) pairs.
 
@@ -87,18 +96,55 @@ def xi_point(params: LevelParams, s_proj) -> tuple[complex, complex]:
     return (scale * (s_proj[0] + 1), scale * (s_proj[1] + 1))
 
 
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=complex)
+    arr.setflags(write=False)
+    return arr
+
+
 class W3SMatrix:
-    """The full S-matrix over interior orbits, with its defining checks."""
+    """The full S-matrix over interior orbits, with its defining checks.
+
+    Entry (a, b) factors as a phase e(<ra,sb> + <sa,rb>) times a Weyl sum
+    over the r-weights (the level-(u-3) affine S-matrix) times one over the
+    s-weights (level v-3).  Each Weyl sum is evaluated once per ordered pair
+    of distinct weights and each phase once per exponent; the products are
+    taken in the order `w3_smatrix_entry` takes them, so every entry equals
+    the scalar evaluation bit for bit.  All arrays are read-only.
+
+    Besides `matrix`, two arrays feed the Verlinde sums: `vacuum_inverse`,
+    1 / S[vac, mu], and `member_phase_sum`, the sum of e(jtw) over the three
+    members of each orbit mu.
+    """
 
     def __init__(self, params: LevelParams):
         self.params = params
         self.orbits = enumerate_infwts(params)
         self._position = {orb: i for i, orb in enumerate(self.orbits)}
-        n = len(self.orbits)
-        self.matrix = np.empty((n, n), dtype=complex)
-        for i, a in enumerate(self.orbits):
-            for jx, b in enumerate(self.orbits):
-                self.matrix[i, jx] = w3_smatrix_entry(params, a.rep, b.rep)
+        u, v = params.u, params.v
+        r_weights, r_of = _distinct(_plus_rho(_proj(orb.rep.r)) for orb in self.orbits)
+        s_weights, s_of = _distinct(_plus_rho(_proj(orb.rep.s)) for orb in self.orbits)
+        first = [[_weyl_sum(Fraction(v, u), x, y) for y in r_weights] for x in r_weights]
+        second = [[_weyl_sum(Fraction(u, v), x, y) for y in s_weights] for x in s_weights]
+        # k = 3<ra, sb> + 3<sa, rb>, an integer, and the phase is e(k / 3)
+        ip3 = np.array([[int(3 * ip(x, y)) for y in s_weights] for x in r_weights], dtype=np.int64)
+        half = ip3[np.ix_(r_of, s_of)]
+        exponents = half + half.T
+        phases = {k: cexp(Fraction(k, 3)) for k in set(exponents.ravel().tolist())}
+        denom = math.sqrt(3) * u * v
+        matrix = np.empty(exponents.shape, dtype=complex)
+        for a in range(len(self.orbits)):
+            f_row, s_row = first[r_of[a]], second[s_of[a]]
+            matrix[a] = [
+                phases[k] * f_row[rb] * s_row[sb] / denom
+                for k, rb, sb in zip(exponents[a].tolist(), r_of, s_of)
+            ]
+        matrix.setflags(write=False)
+        self.matrix = matrix
+        self.vacuum_inverse = _read_only(1 / self.matrix[self.index(vacuum_orbit(params))])
+        self.member_phase_sum = _read_only(
+            [sum(cexp(jtw_of(params, m)) for m in orb.members) for orb in self.orbits]
+        )
 
     def index(self, orbit: OrbitClass) -> int:
         try:
@@ -306,23 +352,19 @@ def w3_fusion_with_label(params: LevelParams, a: OrbitClass, b_label: RSLabel, c
     return w3_fusion(params, a, b, c)
 
 
-def w3_verlinde(params: LevelParams, a: OrbitClass, b: OrbitClass, c: OrbitClass) -> float:
+def w3_verlinde(params: LevelParams, a: OrbitClass, b: OrbitClass, c: OrbitClass) -> complex:
     """Numeric Verlinde sum over orbits; the independent check of w3_fusion."""
     smat = _cached_smatrix(params)
-    vac = vacuum_orbit(params)
-    total = 0j
-    for m in smat.orbits:
-        total += (
-            smat.entry(a, m) * smat.entry(b, m) * smat.entry(c, m).conjugate() / smat.entry(vac, m)
-        )
-    return total
+    s = smat.matrix
+    terms = s[smat.index(a)] * s[smat.index(b)] * s[smat.index(c)].conj() * smat.vacuum_inverse
+    return complex(terms.sum())
 
 
-_SMATRIX_CACHE: dict[tuple[int, int], W3SMatrix] = {}
+@lru_cache(maxsize=None)
+def _smatrix_at(u: int, v: int) -> W3SMatrix:
+    return W3SMatrix(level_params(u, v))
 
 
 def _cached_smatrix(params: LevelParams) -> W3SMatrix:
-    key = (params.u, params.v)
-    if key not in _SMATRIX_CACHE:
-        _SMATRIX_CACHE[key] = W3SMatrix(params)
-    return _SMATRIX_CACHE[key]
+    """The S-matrix at (u, v), built once per process; its arrays are read-only."""
+    return _smatrix_at(params.u, params.v)

@@ -1,0 +1,302 @@
+"""The S-matrix built from its sl3 factorisation, the per-level cache it
+lives in, and the Verlinde sums read off that cache.
+
+The factorised builder must reproduce the scalar `w3_smatrix_entry` bit
+for bit, and the vectorised oracle must agree with the loop over orbits
+it replaced (kept below as `loop_oracle`).
+"""
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from math import gcd
+
+import numpy as np
+import pytest
+
+from bpfusion import labels, w3modular
+from bpfusion.labels import (
+    HWLabel,
+    StandardLabel,
+    _mod1,
+    hw_label,
+    is_nonsimple_standard,
+    orbit_type,
+    standard_label,
+)
+from bpfusion.levels import (
+    LabelError,
+    RSLabel,
+    enumerate_infwts,
+    j_of,
+    jtw_of,
+    level_params,
+    orbit_of,
+    vacuum_orbit,
+)
+from bpfusion.verlinde import (
+    HALF,
+    OracleError,
+    _type3_middle_form,
+    fuse_standard,
+    fuse_type3_standard,
+    verlinde_oracle,
+)
+from bpfusion.w3modular import (
+    W3SMatrix,
+    _cached_smatrix,
+    cexp,
+    w3_fusion,
+    w3_smatrix_entry,
+    w3_verlinde,
+)
+
+SMALL_LEVELS = [(u, v) for u in range(3, 9) for v in range(3, 9) if gcd(u, v) == 1]
+ARRAYS = ("matrix", "vacuum_inverse", "member_phase_sum")
+
+
+# ---------------------------------------------------------------------------
+# The factorised build
+
+
+@pytest.mark.parametrize("u,v", SMALL_LEVELS, ids=lambda x: str(x))
+def test_factorised_matrix_equals_scalar_entries(u, v):
+    p = level_params(u, v)
+    smat = W3SMatrix(p)
+    scalar = np.array(
+        [[w3_smatrix_entry(p, a.rep, b.rep) for b in smat.orbits] for a in smat.orbits], dtype=complex
+    )
+    assert np.array_equal(smat.matrix, scalar)
+
+
+def test_factorised_matrix_at_11_10_on_seeded_entries():
+    p = level_params(11, 10)
+    smat = W3SMatrix(p)
+    n = len(smat.orbits)
+    assert n == 540
+    rng = random.Random(1110)
+    for _ in range(2000):
+        i, j = rng.randrange(n), rng.randrange(n)
+        assert smat.matrix[i, j] == w3_smatrix_entry(p, smat.orbits[i].rep, smat.orbits[j].rep)
+
+
+@pytest.mark.parametrize("u,v", [(4, 5), (5, 4), (7, 5)])
+def test_verlinde_arrays(u, v):
+    p = level_params(u, v)
+    smat = W3SMatrix(p)
+    vac = smat.index(vacuum_orbit(p))
+    assert np.array_equal(smat.vacuum_inverse, 1 / smat.matrix[vac])
+    for orb, total in zip(smat.orbits, smat.member_phase_sum):
+        assert total == sum(cexp(jtw_of(p, m)) for m in orb.members)
+
+
+# ---------------------------------------------------------------------------
+# The read-only cache
+
+
+def test_every_array_is_read_only():
+    p = level_params(4, 5)
+    for smat in (W3SMatrix(p), _cached_smatrix(p)):
+        for name in ARRAYS:
+            assert not getattr(smat, name).flags.writeable, name
+
+
+def test_writing_into_the_cached_matrix_raises():
+    smat = _cached_smatrix(level_params(5, 4))
+    before = smat.matrix.copy()
+    with pytest.raises(ValueError):
+        smat.matrix[0, 0] = 0
+    with pytest.raises(ValueError):
+        smat.vacuum_inverse[:] = 1
+    assert np.array_equal(_cached_smatrix(level_params(5, 4)).matrix, before)
+
+
+def test_cache_returns_one_matrix_per_level_pair():
+    assert _cached_smatrix(level_params(4, 5)) is _cached_smatrix(level_params(4, 5))
+    assert _cached_smatrix(level_params(4, 5)) is not _cached_smatrix(level_params(5, 4))
+
+
+def _support_draws(p, rng, count):
+    """(a, b, candidate) triples with candidates on the closed-form support."""
+    orbs = enumerate_infwts(p)
+    out = []
+    while len(out) < count:
+        a = standard_label(Fraction(rng.randrange(1, 40), 41), rng.choice(orbs), rng.randrange(-2, 3))
+        b = standard_label(Fraction(rng.randrange(1, 40), 43), rng.choice(orbs), rng.randrange(-2, 3))
+        for cand, _ in fuse_standard(p, a, b):
+            if not is_nonsimple_standard(p, cand):
+                out.append((a, b, cand))
+    return out[:count]
+
+
+def test_threads_on_a_fresh_level_pair_agree():
+    p = level_params(7, 4)
+    draws = _support_draws(p, random.Random(74), 40)
+    expected = [fuse_standard(p, a, b).coeff(c) for a, b, c in draws]
+    # make sure no thread finds (7, 4) already built
+    w3modular._smatrix_at.cache_clear()
+    labels._gap_table.cache_clear()
+    barrier = threading.Barrier(4, timeout=60)
+
+    def work():
+        barrier.wait()
+        smat = _cached_smatrix(p)
+        return smat.matrix, [verlinde_oracle(p, a, b, c) for a, b, c in draws]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work) for _ in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for matrix, values in results:
+        assert np.array_equal(matrix, results[0][0])
+        assert values == expected
+    assert np.array_equal(_cached_smatrix(p).matrix, results[0][0])
+
+
+# ---------------------------------------------------------------------------
+# Verlinde sums against the loops they replaced
+
+
+def loop_verlinde(params, a, b, c):
+    smat = _cached_smatrix(params)
+    vac = vacuum_orbit(params)
+    total = 0j
+    for m in smat.orbits:
+        total += smat.entry(a, m) * smat.entry(b, m) * smat.entry(c, m).conjugate() / smat.entry(vac, m)
+    return total
+
+
+def _loop_standard_factor(params, x, conj):
+    kappa = params.kappa
+    lx = x.ell.as_fraction()
+    sign = -1 if conj else 1
+    return {
+        "orbit": x.orbit,
+        "m_freq": sign * (2 * kappa * lx + (x.j - kappa)),
+        "k_freq": sign * lx,
+        "d_power": 0,
+        "conj": conj,
+    }
+
+
+def _loop_type3_factor(params, x):
+    kappa = params.kappa
+    ell, mid = _type3_middle_form(params, x)
+    under = orbit_of(params, RSLabel(mid.r, (params.v - 3, 0, 0)))
+    return {
+        "orbit": under,
+        "m_freq": 2 * kappa * (ell - HALF) + j_of(params, mid),
+        "k_freq": ell - HALF,
+        "d_power": -1,
+        "conj": False,
+    }
+
+
+def loop_oracle(params, a, b, candidate):
+    """The oracle as a loop over orbits, with a dict per factor."""
+    if is_nonsimple_standard(params, candidate):
+        raise LabelError(f"candidate {candidate} must be simple")
+    factors = []
+    for x in (a, b):
+        if isinstance(x, StandardLabel):
+            factors.append(_loop_standard_factor(params, x, conj=False))
+        elif isinstance(x, HWLabel) and orbit_type(params, x.lam) == 3:
+            factors.append(_loop_type3_factor(params, x))
+        else:
+            raise LabelError(f"oracle input {x} must be standard or type-3")
+    if sum(1 for f in factors if f["d_power"] == -1) > 1:
+        raise LabelError("at most one type-3 input")
+    factors.append(_loop_standard_factor(params, candidate, conj=True))
+    kappa = params.kappa
+    vac_under = vacuum_orbit(params)
+    m_total = sum(f["m_freq"] for f in factors) + kappa
+    if _mod1(m_total) != 0:
+        return 0
+    k_total = sum(f["k_freq"] for f in factors) + HALF
+    d_total = sum(f["d_power"] for f in factors) + 1
+    smat = _cached_smatrix(params)
+    total = 0j
+    two_k = int(2 * k_total)
+    for mu in smat.orbits:
+        coeff = 1 + 0j
+        for f in factors:
+            entry = smat.entry(f["orbit"], mu)
+            coeff *= entry.conjugate() if f["conj"] else entry
+        coeff /= smat.entry(vac_under, mu)
+        if d_total == 0:
+            kint = 1.0 if two_k == 0 else 0.0
+        else:
+            kint = 0j
+            if two_k in (3, -3):
+                kint += 1
+            for member in mu.members:
+                w_i = cexp(jtw_of(params, member))
+                if two_k == 1:
+                    kint -= w_i
+                if two_k == -1:
+                    kint -= w_i.conjugate()
+        total += coeff * kint
+    rounded = round(total.real)
+    if abs(total - rounded) > 1e-6:
+        raise OracleError(f"oracle value {total} is not an integer")
+    return int(rounded)
+
+
+def _two_k(a, b, cand):
+    """2K, the flow frequency the oracle extracts, for inputs on its support."""
+    twice = sum(x.ell.twice - (3 if isinstance(x, HWLabel) else 0) for x in (a, b))
+    return twice - cand.ell.twice + 1
+
+
+def _type3_labels(p):
+    u, v = p.u, p.v
+    return [
+        RSLabel((r0, r1, u - 3 - r0 - r1), (v - 2, -1, 0)) for r0 in range(u - 2) for r1 in range(u - 2 - r0)
+    ]
+
+
+@pytest.mark.parametrize("u,v", [(5, 4), (4, 5), (6, 5)])
+def test_oracle_equals_the_loop_oracle(u, v):
+    p = level_params(u, v)
+    rng = random.Random(100 * u + v)
+    orbs = enumerate_infwts(p)
+    cases = []
+    for a, b, cand in _support_draws(p, rng, 60):
+        cases.append((a, b, cand))
+        # the same charge on another orbit and flow: mostly zeros
+        cases.append((a, b, standard_label(cand.j, rng.choice(orbs), cand.ell + rng.choice((-2, 2, 3)))))
+    type3_cases = []
+    for _ in range(6):
+        hw = hw_label(p, rng.choice(_type3_labels(p)), Fraction(rng.randrange(-2, 3), 2))
+        assert orbit_type(p, hw.lam) == 3
+        b = standard_label(Fraction(rng.randrange(1, 40), 41), rng.choice(orbs), rng.randrange(-2, 3))
+        for cand, _ in fuse_type3_standard(p, hw, b):
+            if not is_nonsimple_standard(p, cand):
+                type3_cases.append((hw, b, cand) if rng.random() < 0.5 else (b, hw, cand))
+                type3_cases.append((hw, b, standard_label(cand.j, cand.orbit, cand.ell + 1)))
+    nonzero_branches = set()
+    for a, b, cand in cases + type3_cases:
+        got = verlinde_oracle(p, a, b, cand)
+        assert got == loop_oracle(p, a, b, cand), (a, b, cand)
+        if got:
+            kind = "type3" if (a, b, cand) in type3_cases else "standard"
+            nonzero_branches.add((kind, _two_k(a, b, cand)))
+    assert {("standard", k) for k in (-3, -1, 1, 3)} <= nonzero_branches
+    assert ("type3", 0) in nonzero_branches
+
+
+@pytest.mark.parametrize("u,v", [(5, 4), (4, 5)])
+def test_w3_verlinde_equals_the_loop(u, v):
+    p = level_params(u, v)
+    orbs = enumerate_infwts(p)
+    for a in orbs:
+        for b in orbs:
+            for c in orbs:
+                got = w3_verlinde(p, a, b, c)
+                assert abs(got - loop_verlinde(p, a, b, c)) < 1e-12
+                assert round(got.real) == w3_fusion(p, a, b, c)

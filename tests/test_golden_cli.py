@@ -1,0 +1,35 @@
+"""Byte-for-byte CLI output on a fixed set of commands.
+
+Each file under tests/golden/ holds the stdout of one command, recorded
+before the S-matrix builder was rewritten on the sl3 factorisation.  The
+S-matrix dumps pin every printed float bit; the kernel, fusion and verify
+outputs pin the exact results that read the matrix.
+"""
+from pathlib import Path
+
+import pytest
+
+from bpfusion.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "smatrix-w3-5-3": ["smatrix-w3", "5", "3"],
+    "smatrix-w3-4-5": ["smatrix-w3", "4", "5"],
+    "smatrix-w3-7-5": ["smatrix-w3", "7", "5"],
+    "kernel-bp-3-4": ["kernel-bp", "3", "4", "I[0,0,0;2,-1,0]^0", "R~[1/7;[[0,0,0;1,0,0]]]^0"],
+    "fuse-3-4-standard": ["fuse", "3", "4", "R~[1/7;[[0,0,0;1,0,0]]]^0", "R~[2/7;[[0,0,0;1,0,0]]]^0"],
+    "fuse-3-4-resolution": ["fuse", "3", "4", "I[0,0,0;0,0,1]^0", "I[0,0,0;1,-1,1]^0"],
+    "verify-4-3-fusion-oracle": ["verify", "4", "3", "--suite", "fusion-oracle"],
+}
+
+
+def test_every_golden_file_has_a_command():
+    assert {p.stem for p in GOLDEN.glob("*.json")} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_is_byte_identical(capsys, name):
+    assert main(COMMANDS[name]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.json").read_text()

@@ -8,6 +8,7 @@ from bpfusion.labels import (
     HalfInt,
     HWLabel,
     StandardLabel,
+    _mod1,
     atypical_ses,
     conjugate_hw,
     conjugate_twisted_hw,
@@ -15,6 +16,7 @@ from bpfusion.labels import (
     gap_charges,
     gap_decomposition,
     gap_member,
+    gap_table,
     hw_flow_maps,
     hw_label,
     is_nonsimple_standard,
@@ -38,6 +40,7 @@ from bpfusion.levels import (
     hw_data,
     in_infwts,
     in_surv,
+    jtw_of,
     level_params,
     orbit_of,
     sigma,
@@ -233,6 +236,25 @@ class TestGapStructure:
         assert is_nonsimple_standard(p, standard_label(Fraction(1, 4), orb, 0))
         assert not is_nonsimple_standard(p, standard_label(Fraction(3, 4), orb, 0))
         assert gap_member(p, standard_label(Fraction(1, 4), orb, 0)) == lab((0, 0, 0), (1, 0, 0))
+
+    @pytest.mark.parametrize("u,v", SMALL_LEVELS)
+    def test_gap_member_reads_the_per_level_table(self, u, v):
+        p = level_params(u, v)
+        table = gap_table(p)
+        assert table is gap_table(level_params(u, v))
+        with pytest.raises(TypeError):
+            table[enumerate_infwts(p)[0]] = ()
+        for orb in enumerate_infwts(p):
+            charges = [_mod1(jtw_of(p, m) + p.kappa) for m in orb.members]
+            assert table[orb] == tuple(zip(orb.members, charges))
+            for member, charge in zip(orb.members, charges):
+                assert gap_member(p, standard_label(charge, orb, 0)) == member
+            assert gap_member(p, standard_label(Fraction(1, 997), orb, 0)) is None
+
+    def test_gap_member_rejects_a_foreign_orbit(self):
+        foreign = enumerate_infwts(level_params(5, 4))[1]
+        with pytest.raises(LabelError):
+            gap_member(level_params(4, 5), standard_label(Fraction(1, 7), foreign, 0))
 
     def test_rewrite_gap_standard(self):
         p = level_params(3, 4)

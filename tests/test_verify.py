@@ -12,7 +12,7 @@ def test_every_suite_passes(u, v, name):
 
 
 @pytest.mark.parametrize("u,v", [(5, 4), (4, 5)])
-@pytest.mark.parametrize("name", ["fusion-oracle", "telescoping"])
+@pytest.mark.parametrize("name", ["fusion-oracle", "telescoping", "w3-verlinde"])
 def test_fusion_suites_pass_past_the_smallest_models(u, v, name):
     ok, detail = SUITES[name](level_params(u, v), None)
     assert ok, f"{name} at ({u},{v}): {detail}"
