@@ -8,7 +8,6 @@ presentation are explicit.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -124,6 +123,12 @@ def hw_label(params: LevelParams, lam: RSLabel, ell=0) -> HWLabel:
         lam = RSLabel((r[1], r[2], r[0]), (s[1] + 1, -1, s[0]))
         ell = ell + 1
     return HWLabel(ell, lam)
+
+
+def vacuum_label(params: LevelParams) -> HWLabel:
+    """The vacuum module, a type-3 highest-weight label at flow 0."""
+    u, v = params.u, params.v
+    return hw_label(params, RSLabel((u - 3, 0, 0), (v - 2, -1, 0)), 0)
 
 
 def hw_flow_maps(params: LevelParams, lam: RSLabel) -> list[tuple[HalfInt, RSLabel]]:
@@ -319,6 +324,10 @@ class FormalSum:
     def coeff(self, label) -> int:
         return self._terms.get(label, 0)
 
+    def items(self):
+        """The (label, coefficient) pairs, unsorted; iteration sorts them."""
+        return self._terms.items()
+
     def __add__(self, other):
         out = FormalSum()
         out._terms.update(self._terms)
@@ -358,9 +367,6 @@ class FormalSum:
                 out._add(label, coeff)
         return out
 
-    def max_flow(self):
-        return max((label.ell for label in self._terms), default=None)
-
     def __str__(self):
         if not self._terms:
             return "0"
@@ -379,9 +385,6 @@ class FormalSum:
 
     def to_json(self) -> list[dict]:
         return [{"label": str(label), "coeff": coeff} for label, coeff in self]
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def _sort_key(label: Label):

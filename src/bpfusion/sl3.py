@@ -3,13 +3,15 @@
 Weights are pairs of Dynkin labels.  Multiplicities come from the
 Freudenthal recursion, tensor coefficients from exact character-ring
 multiplication, and affine fusion coefficients from alcove folding of
-the tensor decomposition.
+the tensor decomposition.  The three memoised tables are read-only
+mappings, shared by every caller.
 """
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 Weight2 = tuple[int, int]
 Affine3 = tuple[int, int, int]
@@ -91,7 +93,7 @@ def rep_dimension(t: Weight2) -> int:
 
 
 @lru_cache(maxsize=None)
-def weight_multiplicities(t: Weight2) -> dict[Weight2, int]:
+def weight_multiplicities(t: Weight2) -> MappingProxyType:
     """All weights of the simple module with highest weight t, with multiplicity."""
     if not dominant(t):
         raise ValueError(f"highest weight must be dominant, got {t}")
@@ -134,7 +136,7 @@ def weight_multiplicities(t: Weight2) -> dict[Weight2, int]:
         for img in weyl_orbit(mu):
             mult[img] = m
     assert sum(mult.values()) == rep_dimension(t)
-    return mult
+    return MappingProxyType(mult)
 
 
 def weyl_character(t: Weight2, xi) -> complex:
@@ -154,7 +156,7 @@ def weyl_character_quotient(t: Weight2, xi) -> complex:
 
 
 @lru_cache(maxsize=None)
-def tensor_decompose(t: Weight2, tp: Weight2) -> dict[Weight2, int]:
+def tensor_decompose(t: Weight2, tp: Weight2) -> MappingProxyType:
     """Decomposition of the tensor product of two simple modules."""
     conv: dict[Weight2, int] = {}
     wa = weight_multiplicities(t)
@@ -177,7 +179,7 @@ def tensor_decompose(t: Weight2, tp: Weight2) -> dict[Weight2, int]:
                     conv[nu] = key
                 else:
                     del conv[nu]
-    return out
+    return MappingProxyType(out)
 
 
 def tensor_coeff(t: Weight2, tp: Weight2, tpp: Weight2) -> int:
@@ -231,7 +233,7 @@ def _fold_alcove(level: int, w: Weight2) -> tuple[Weight2 | None, int]:
 
 
 @lru_cache(maxsize=None)
-def fusion_table(level: int, t: Affine3, tp: Affine3) -> dict[Affine3, int]:
+def fusion_table(level: int, t: Affine3, tp: Affine3) -> MappingProxyType:
     """Fusion product of two integrable weights as a map to multiplicities."""
     for x in (t, tp):
         if not integrable(level, x):
@@ -248,7 +250,7 @@ def fusion_table(level: int, t: Affine3, tp: Affine3) -> dict[Affine3, int]:
         else:
             out.pop(key, None)
     assert all(c > 0 for c in out.values())
-    return out
+    return MappingProxyType(out)
 
 
 def kac_walton(level: int, t: Affine3, tp: Affine3, tpp: Affine3) -> int:

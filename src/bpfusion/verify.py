@@ -8,17 +8,21 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from .labels import (
+    HalfInt,
+    _mod1,
     gap_charges,
     hw_label,
     is_nonsimple_standard,
     nonsimple_standard,
     orbit_type,
     standard_label,
+    vacuum_label,
 )
 from .levels import (
     LevelParams,
-    RSLabel,
     enumerate_infwts,
     enumerate_surv,
     hw_data,
@@ -27,16 +31,19 @@ from .levels import (
 )
 from .verlinde import (
     GapDivergenceError,
+    VerlindeOracle,
     fuse_standard,
     fuse_type3_standard,
     fuse_general,
+    oracle_integers,
+    simple_candidates,
     simple_currents,
     subring_iso_check,
     type3_kernel,
-    verlinde_oracle,
 )
 from .w3modular import (
     DEFAULT_TOL,
+    INTEGER_TOL,
     W3SMatrix,
     ratio_weyl_character_check,
     sigma_phase_check,
@@ -93,7 +100,7 @@ def suite_w3_verlinde(params: LevelParams, tol=None):
             for c in orbits:
                 target = w3_fusion(params, a, b, c)
                 numeric = w3_verlinde(params, a, b, c)
-                if abs(numeric - target) > 1e-6:
+                if abs(numeric - target) > INTEGER_TOL:
                     return False, f"Verlinde mismatch at ({a},{b},{c}): {numeric} vs {target}"
                 count += 1
     return True, f"{count} triples"
@@ -126,26 +133,56 @@ def suite_appendix(params: LevelParams, tol=None, samples=30, seed=7):
 
 
 def suite_fusion_oracle(params: LevelParams, tol=None, window=2):
+    """The Verlinde oracle against the closed-form standard product on every
+    simple candidate (a, b, ell, shift, c): 4 charge shifts, flows -window
+    to window + 1, every orbit.
+
+    Each (a, b) pair is one VerlindeOracle, read a candidate class at a
+    time, and the pair's checks are taken as one (class, orbit) array: an
+    entry passes when its value is within INTEGER_TOL of the closed-form
+    integer.  A failure is the first in (a, b, ell, shift, c) order: an
+    OracleError when the value there is no integer, else a mismatch.
+    """
     orbits = enumerate_infwts(params)
+    n = len(orbits)
     kappa = params.kappa
     js = [Fraction(1, 7), Fraction(2, 7)]
-    checked = 0
+    classes = [
+        (HalfInt.of(ell), _mod1(js[0] + js[1] + shift))
+        for ell in range(-window, window + 2)
+        for shift in (0, -4 * kappa, 2 * kappa, -2 * kappa)
+    ]
+    masks = {charge: simple_candidates(params, charge).tolist() for _, charge in classes}
+    # the flat (class, orbit) positions of the simple candidates, in order
+    checked = np.array(
+        [k * n + c for k, (_, charge) in enumerate(classes) for c in range(n) if masks[charge][c]], dtype=np.int64
+    )
+    # where each term of a closed form lands: its class rows and orbit column
+    rows_of: dict = {}
+    for k, (ell, charge) in enumerate(classes):
+        rows_of.setdefault((ell.twice, charge), []).append(k)
+    column = {orb.rep: c for c, orb in enumerate(orbits)}
+
+    def candidate_at(i):
+        ell, charge = classes[i // n]
+        return standard_label(charge, orbits[i % n], ell)
+
     for orb_a in orbits:
         for orb_b in orbits:
             a = standard_label(js[0], orb_a, 0)
             b = standard_label(js[1], orb_b, 0)
-            closed = fuse_standard(params, a, b)
-            for ell in range(-window, window + 2):
-                for shift in (0, -4 * kappa, 2 * kappa, -2 * kappa):
-                    for orb_c in orbits:
-                        cand = standard_label(js[0] + js[1] + shift, orb_c, ell)
-                        if is_nonsimple_standard(params, cand):
-                            continue
-                        got = verlinde_oracle(params, a, b, cand)
-                        if got != closed.coeff(cand):
-                            return False, f"oracle mismatch at {cand}: {got} vs {closed.coeff(cand)}"
-                        checked += 1
-    return True, f"{checked} coefficients"
+            want = np.zeros((len(classes), n), dtype=complex)
+            for label, coeff in fuse_standard(params, a, b).items():
+                for k in rows_of.get((label.ell.twice, label.j), ()):
+                    want[k, column[label.orbit.rep]] += coeff
+            oracle = VerlindeOracle(params, a, b)
+            values = np.array([oracle.values(ell, charge) for ell, charge in classes])
+            off = np.abs(values - want).ravel()[checked]
+            if checked.size and not off.max() <= INTEGER_TOL:  # a NaN fails too
+                i = next(int(i) for i, x in zip(checked, off) if not x <= INTEGER_TOL)
+                got = oracle_integers(params, a, b, values.ravel()[i : i + 1], lambda _: candidate_at(i))
+                return False, f"oracle mismatch at {candidate_at(i)}: {got[0]} vs {int(want.ravel()[i].real)}"
+    return True, f"{n * n * checked.size} coefficients"
 
 
 def suite_telescoping(params: LevelParams, tol=None):
@@ -190,7 +227,7 @@ def suite_gap_structure(params: LevelParams, tol=None):
             if lab.j not in gaps:
                 return False, f"{lab} missed its own gap set"
             try:
-                type3_kernel(params, _vacuum(params), lab)
+                type3_kernel(params, vacuum_label(params), lab)
                 return False, f"kernel failed to diverge at {lab}"
             except GapDivergenceError:
                 pass
@@ -198,13 +235,8 @@ def suite_gap_structure(params: LevelParams, tol=None):
         simple = standard_label(probe, orb, 0)
         if is_nonsimple_standard(params, simple):
             return False, f"{simple} misclassified"
-        type3_kernel(params, _vacuum(params), simple)
+        type3_kernel(params, vacuum_label(params), simple)
     return True, "divergence exactly on the gap charges"
-
-
-def _vacuum(params: LevelParams):
-    u, v = params.u, params.v
-    return hw_label(params, RSLabel((u - 3, 0, 0), (v - 2, -1, 0)), 0)
 
 
 SUITES = {

@@ -11,18 +11,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .labels import (
     FormalSum,
     HalfInt,
     HWLabel,
     StandardLabel,
     _mod1,
+    gap_table,
     hw_label,
     is_nonsimple_standard,
     orbit_type,
     resolution,
     rewrite_gaps,
     standard_label,
+    vacuum_label,
 )
 from .levels import (
     LabelError,
@@ -36,7 +40,14 @@ from .levels import (
     sigma,
 )
 from .sl3 import fusion_table, kac_walton
-from .w3modular import _cached_smatrix, cexp, w3_fusion, w3_fusion_support, w3_fusion_with_label
+from .w3modular import (
+    INTEGER_TOL,
+    _cached_smatrix,
+    cexp,
+    w3_fusion,
+    w3_fusion_support,
+    w3_fusion_with_label,
+)
 
 HALF = Fraction(1, 2)
 
@@ -50,7 +61,21 @@ class NotStabilisedError(RuntimeError):
 
 
 class OracleError(RuntimeError):
-    """The Verlinde oracle did not land on an integer."""
+    """The Verlinde oracle did not land on an integer.
+
+    Carries what failed: the level pair `uv`, the inputs `a` and `b`, the
+    `candidate`, the oracle `value` and its `distance` from the nearest
+    integer.
+    """
+
+    def __init__(self, params: LevelParams, a, b, candidate, value: complex, distance: float):
+        self.uv = (params.u, params.v)
+        self.a, self.b, self.candidate = a, b, candidate
+        self.value, self.distance = value, distance
+        super().__init__(
+            f"oracle value {value} for {candidate} in {a} x {b} at (u,v)=({params.u},{params.v}) "
+            f"is {distance:.3g} from the nearest integer (allowed {INTEGER_TOL})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +136,7 @@ def type3_kernel(params: LevelParams, a: HWLabel, b: StandardLabel) -> SKernelEn
 
 def vacuum_kernel(params: LevelParams, b: StandardLabel) -> SKernelEntry:
     """Kernel entry of the vacuum module against a simple standard label."""
-    u, v = params.u, params.v
-    vac = hw_label(params, RSLabel((u - 3, 0, 0), (v - 2, -1, 0)), 0)
-    return type3_kernel(params, vac, b)
+    return type3_kernel(params, vacuum_label(params), b)
 
 
 # ---------------------------------------------------------------------------
@@ -303,74 +326,163 @@ def fuse_sums(params: LevelParams, fa: FormalSum, fb: FormalSum, depth: int | No
 # Independent Verlinde oracle
 
 
-# An oracle factor is (orbit, m_freq, two_k, d_power, conj): the S-matrix row
-# of `orbit` (conjugated when `conj`), the charge frequency m_freq, twice the
-# flow frequency, and the power of the denominator D the factor carries.
+# An oracle factor is (orbit, m_freq, two_k, d_power): the S-matrix row of
+# `orbit`, the charge frequency m_freq, twice the flow frequency, and the
+# power of the denominator D the factor carries.  A candidate enters as the
+# conjugate of its standard factor: m_freq and two_k negated, row conjugated.
 
 
-def _standard_factor(params: LevelParams, x: StandardLabel, conj: bool):
+def _standard_factor(params: LevelParams, x: StandardLabel):
     kappa = params.kappa
-    sign = -1 if conj else 1
-    return (x.orbit, sign * (kappa * x.ell.twice + (x.j - kappa)), sign * x.ell.twice, 0, conj)
+    return (x.orbit, kappa * x.ell.twice + (x.j - kappa), x.ell.twice, 0)
 
 
 def _type3_factor(params: LevelParams, x: HWLabel):
     _, mid = _type3_middle_form(params, x)
     under = orbit_of(params, RSLabel(mid.r, (params.v - 3, 0, 0)))
     two_k = x.ell.twice - 3  # 2 (ell - 1/2) with ell = x.ell - 1
-    return (under, params.kappa * two_k + j_of(params, mid), two_k, -1, False)
+    return (under, params.kappa * two_k + j_of(params, mid), two_k, -1)
 
 
-def verlinde_oracle(params: LevelParams, a, b, candidate: StandardLabel) -> int:
-    """Fusion coefficient of `candidate` in a x b by exact Fourier extraction.
+def oracle_integers(params: LevelParams, a, b, values: np.ndarray, candidate_at, where=None) -> np.ndarray:
+    """The integers that oracle values stand for.
+
+    Raises OracleError at the first entry (among `where`, if given) farther
+    than INTEGER_TOL from its nearest integer; `candidate_at(i)` names the
+    candidate of entry i.
+    """
+    nearest = np.rint(values.real)
+    off = np.abs(values - nearest)
+    bad = ~(off <= INTEGER_TOL)  # a NaN is bad too
+    if where is not None:
+        bad &= where
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise OracleError(params, a, b, candidate_at(i), complex(values[i]), float(off[i]))
+    return nearest.astype(np.int64)
+
+
+# the row of each expansion term (0, +1, -1) in VerlindeOracle's products; the
+# term None, a class of zeros, reads a row of zeros
+_TERM_ROW = {0: 0, 1: 1, -1: 2, None: 3}
+
+
+class VerlindeOracle:
+    """The Verlinde oracle at fixed inputs a and b, for any candidate.
 
     The charge sum collapses to an exact rational congruence and the
     circle integral to a constant Fourier coefficient of a finite
     trigonometric polynomial, leaving a finite sum of S-matrix ratios.
+    A candidate enters that sum through its conjugated S-row and through
+    its class (ell, charge): the class alone fixes the congruence, 2K and
+    the power of D, and so the one term of D's expansion that survives.
+    The values of every candidate of a class are therefore one product
+    S* @ (weight / S[vac] * S[a] * S[b]), with weight 1, -sum e(jtw) or
+    its conjugate; the three products are made together, once.
+
     Inputs may be standard labels or type-3 highest-weight labels, at
     most one of the latter (two would leave a live denominator).
     """
+
+    def __init__(self, params: LevelParams, a, b):
+        factors = []
+        for x in (a, b):
+            if isinstance(x, StandardLabel):
+                factors.append(_standard_factor(params, x))
+            elif isinstance(x, HWLabel) and orbit_type(params, x.lam) == 3:
+                factors.append(_type3_factor(params, x))
+            else:
+                raise LabelError(f"oracle input {x} must be standard or type-3")
+        (orb_a, m_a, k_a, d_a), (orb_b, m_b, k_b, d_b) = factors
+        if d_a + d_b < -1:
+            raise LabelError("at most one type-3 input: two leave a live denominator")
+        self.params, self.a, self.b = params, a, b
+        self._smat = smat = _cached_smatrix(params)
+        kappa = params.kappa
+        # the charge sum m_a + m_b - (kappa * 2ell + charge - kappa) + kappa
+        # must be an integer; _offset holds all of it but the candidate's part
+        self._offset = m_a + m_b + 2 * kappa
+        self._kappa = (kappa.numerator, kappa.denominator)
+        self._two_k = k_a + k_b + 1
+        self._d_total = d_a + d_b + 1
+        rows = smat.matrix
+        self._base = smat.vacuum_inverse * rows[smat.index(orb_a)] * rows[smat.index(orb_b)]
+        self._residues: dict = {}  # charge -> (offset - charge) as (numerator * kd, denominator)
+        self._products = None  # the values of each term over every candidate orbit
+
+    def _term(self, ell_twice: int, charge: Fraction):
+        """The term of D's expansion that the class (ell, charge) extracts:
+        0 for weight 1, +1 or -1 for -sum e(jtw) or its conjugate, and None
+        when every coefficient of the class is 0."""
+        kn, kd = self._kappa
+        residue = self._residues.get(charge)
+        if residue is None:
+            diff = self._offset - charge
+            residue = self._residues[charge] = (diff.numerator * kd, diff.denominator)
+        num, den = residue
+        # diff - kappa * ell_twice, over the denominator den * kd, must be an integer
+        if (num - kn * ell_twice * den) % (den * kd):
+            return None
+        two_k = self._two_k - ell_twice
+        d_total = self._d_total
+        # with no D left only 2K = 0 survives; otherwise expand
+        # D(k, mu) = y^3 + y^-3 - sum_i (y w_i + y^-1 w_i*) against y^{-2K}
+        if (d_total == 0 and two_k == 0) or (d_total == 1 and two_k in (3, -3)):
+            return 0
+        if d_total == 1 and two_k in (1, -1):
+            return two_k
+        return None
+
+    def values(self, ell: HalfInt, charge: Fraction) -> np.ndarray:
+        """The oracle values of standard_label(charge, c, ell) for every orbit
+        c of `enumerate_infwts`, unrounded and read-only.  `charge` must lie
+        in [0, 1), as a standard label stores it.  Values at nonsimple
+        candidates carry no meaning."""
+        term = self._term(ell.twice, charge)
+        if self._products is None:
+            base, phases = self._base, self._smat.member_phase_sum
+            weighted = np.array([base, -base * phases, -base * phases.conj()])
+            products = np.zeros((4, len(base)), dtype=complex)
+            # S* @ w for each weighted w, taken as conj(w* @ S^T) so that no
+            # conjugate matrix is formed
+            products[:3] = np.conj(np.conj(weighted) @ self._smat.matrix.T)
+            products.setflags(write=False)
+            self._products = products
+        return self._products[_TERM_ROW[term]]
+
+
+def simple_candidates(params: LevelParams, charge) -> np.ndarray:
+    """Boolean mask over `enumerate_infwts`: whether the standard label of
+    this charge (taken mod 1) over each orbit is simple, read off the gap
+    table."""
+    charge = _mod1(charge)
+    table = gap_table(params)
+    return np.array(
+        [all(gap != charge for _, gap in table[orb]) for orb in _cached_smatrix(params).orbits], dtype=bool
+    )
+
+
+def verlinde_oracle(params: LevelParams, a, b, candidate: StandardLabel) -> int:
+    """Fusion coefficient of `candidate` in a x b by exact Fourier extraction
+    (see VerlindeOracle).  The candidate must be simple."""
     if is_nonsimple_standard(params, candidate):
         raise LabelError(f"candidate {candidate} must be simple")
-    factors = []
-    for x in (a, b):
-        if isinstance(x, StandardLabel):
-            factors.append(_standard_factor(params, x, conj=False))
-        elif isinstance(x, HWLabel) and orbit_type(params, x.lam) == 3:
-            factors.append(_type3_factor(params, x))
-        else:
-            raise LabelError(f"oracle input {x} must be standard or type-3")
-    if sum(1 for f in factors if f[3] == -1) > 1:
-        raise LabelError("at most one type-3 input: two leave a live denominator")
-    factors.append(_standard_factor(params, candidate, conj=True))
+    i = _cached_smatrix(params).index(candidate.orbit)
+    values = VerlindeOracle(params, a, b).values(candidate.ell, candidate.j)
+    return int(oracle_integers(params, a, b, values[i : i + 1], lambda _: candidate)[0])
 
-    m_total = sum(f[1] for f in factors) + params.kappa
-    if _mod1(m_total) != 0:
-        return 0
-    two_k = sum(f[2] for f in factors) + 1
-    d_total = sum(f[3] for f in factors) + 1
-    assert d_total in (0, 1)
 
-    smat = _cached_smatrix(params)
-    # with no D left only 2K = 0 survives; otherwise expand
-    # D(k, mu) = y^3 + y^-3 - sum_i (y w_i + y^-1 w_i*) against y^{-2K}
-    if (d_total == 0 and two_k == 0) or (d_total == 1 and two_k in (3, -3)):
-        weight = 1
-    elif d_total == 1 and two_k == 1:
-        weight = -smat.member_phase_sum
-    elif d_total == 1 and two_k == -1:
-        weight = -smat.member_phase_sum.conj()
-    else:
-        return 0
-    terms = smat.vacuum_inverse * weight
-    for orbit, _, _, _, conj in factors:
-        row = smat.matrix[smat.index(orbit)]
-        terms = terms * (row.conj() if conj else row)
-    total = complex(terms.sum())
-    rounded = round(total.real)
-    if abs(total - rounded) > 1e-6:
-        raise OracleError(f"oracle value {total} is not an integer")
-    return int(rounded)
+def verlinde_oracle_row(params: LevelParams, a, b, ell, charge) -> np.ndarray:
+    """Coefficients of standard_label(charge, c, ell) in a x b for every orbit
+    c of `enumerate_infwts`, as one integer vector.  Nonsimple candidates,
+    where the oracle is undefined, read 0."""
+    charge, ell = _mod1(charge), HalfInt.of(ell)
+    simple = simple_candidates(params, charge)
+    values = VerlindeOracle(params, a, b).values(ell, charge)
+    orbits = _cached_smatrix(params).orbits
+    out = oracle_integers(params, a, b, values, lambda i: standard_label(charge, orbits[i], ell), simple)
+    out[~simple] = 0
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,13 @@ from .sl3 import (
 
 DEFAULT_TOL = 1e-9
 
+# How far a Verlinde sum (the oracle's, or w3-verlinde's check of w3_fusion)
+# may sit from an integer and still name it.  It is not --tol/BPFUSION_TOL:
+# those bound float identities, while this decides which integer a float
+# sum stands for, and a user tolerance near 0.5 would let a wrong integer
+# through.  Sampled at (11,10), the sums land within 2.5e-12 of integers.
+INTEGER_TOL = 1e-6
+
 
 class SingularInputError(ValueError):
     """An identity was evaluated at (or too near) a singular point."""

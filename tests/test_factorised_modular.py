@@ -15,8 +15,10 @@ from math import gcd
 import numpy as np
 import pytest
 
-from bpfusion import labels, w3modular
+from bpfusion import labels, verify, w3modular
 from bpfusion.labels import (
+    FormalSum,
+    HalfInt,
     HWLabel,
     StandardLabel,
     _mod1,
@@ -38,12 +40,17 @@ from bpfusion.levels import (
 from bpfusion.verlinde import (
     HALF,
     OracleError,
+    VerlindeOracle,
+    oracle_integers,
     _type3_middle_form,
     fuse_standard,
     fuse_type3_standard,
+    simple_candidates,
     verlinde_oracle,
+    verlinde_oracle_row,
 )
 from bpfusion.w3modular import (
+    INTEGER_TOL,
     W3SMatrix,
     _cached_smatrix,
     cexp,
@@ -243,7 +250,7 @@ def loop_oracle(params, a, b, candidate):
         total += coeff * kint
     rounded = round(total.real)
     if abs(total - rounded) > 1e-6:
-        raise OracleError(f"oracle value {total} is not an integer")
+        raise OracleError(params, a, b, candidate, total, abs(total - rounded))
     return int(rounded)
 
 
@@ -288,6 +295,151 @@ def test_oracle_equals_the_loop_oracle(u, v):
             nonzero_branches.add((kind, _two_k(a, b, cand)))
     assert {("standard", k) for k in (-3, -1, 1, 3)} <= nonzero_branches
     assert ("type3", 0) in nonzero_branches
+
+
+def _row_inputs(p, rng, pairs):
+    """(a, b) pairs: the fusion-oracle suite's inputs on every orbit pair
+    when `pairs` is None, else that many seeded standard pairs at random
+    charges and flows, plus type-3 inputs on either side."""
+    orbs = enumerate_infwts(p)
+    if pairs is None:
+        return [
+            (standard_label(Fraction(1, 7), x, 0), standard_label(Fraction(2, 7), y, 0)) for x in orbs for y in orbs
+        ]
+    out = []
+    for _ in range(pairs):
+        a = standard_label(Fraction(rng.randrange(1, 40), 41), rng.choice(orbs), rng.randrange(-2, 3))
+        b = standard_label(Fraction(rng.randrange(1, 40), 43), rng.choice(orbs), rng.randrange(-2, 3))
+        out.append((a, b))
+    for _ in range(2):
+        hw = hw_label(p, rng.choice(_type3_labels(p)), Fraction(rng.randrange(-2, 3), 2))
+        b = standard_label(Fraction(rng.randrange(1, 40), 41), rng.choice(orbs), rng.randrange(-2, 3))
+        out += [(hw, b), (b, hw)]
+    return out
+
+
+@pytest.mark.parametrize("u,v,pairs", [(5, 4, None), (4, 5, None), (6, 5, 12)], ids=str)
+def test_oracle_rows_equal_the_loop_oracle(u, v, pairs):
+    """Every (a, b, ell, shift, c): the suite's own inputs at (5,4) and (4,5),
+    seeded pairs with type-3 inputs at (6,5).  Each charge class is the sum
+    of a and b's charges plus one of the suite's four shifts."""
+    p = level_params(u, v)
+    orbs = enumerate_infwts(p)
+    nonzero_branches = set()
+    for a, b in _row_inputs(p, random.Random(10 * u + v), pairs):
+        oracle = VerlindeOracle(p, a, b)
+        ja = a.j if isinstance(a, StandardLabel) else j_of(p, _type3_middle_form(p, a)[1])
+        jb = b.j if isinstance(b, StandardLabel) else j_of(p, _type3_middle_form(p, b)[1])
+        for ell in range(-3, 5):
+            for shift in (0, -4 * p.kappa, 2 * p.kappa, -2 * p.kappa):
+                charge = _mod1(ja + jb + shift)
+                mask = simple_candidates(p, charge)
+                row = verlinde_oracle_row(p, a, b, ell, charge)
+                values = oracle.values(HalfInt.of(ell), charge)
+                assert np.array_equal(row, np.where(mask, np.rint(values.real), 0))
+                for c, orb in enumerate(orbs):
+                    cand = standard_label(charge, orb, ell)
+                    assert mask[c] != is_nonsimple_standard(p, cand)
+                    if not mask[c]:
+                        assert row[c] == 0
+                        continue
+                    want = loop_oracle(p, a, b, cand)
+                    assert row[c] == want, (a, b, cand)
+                    if want:
+                        kind = "standard" if isinstance(a, StandardLabel) and isinstance(b, StandardLabel) else "type3"
+                        nonzero_branches.add((kind, _two_k(a, b, cand)))
+    assert {("standard", k) for k in (-3, -1, 1, 3)} <= nonzero_branches
+    if pairs is not None:
+        assert ("type3", 0) in nonzero_branches
+
+
+def test_rounding_names_what_failed():
+    p = level_params(5, 4)
+    orbs = enumerate_infwts(p)
+    a = standard_label(Fraction(1, 7), orbs[0], 0)
+    b = standard_label(Fraction(2, 7), orbs[1], 1)
+    cands = [standard_label(Fraction(3, 7), orb, 2) for orb in orbs[:3]]
+    values = np.array([2.0, -1.0 + 1e-9j, 3.25])
+    assert oracle_integers(p, a, b, values, cands.__getitem__, np.array([True, True, False])).tolist()[:2] == [2, -1]
+    with pytest.raises(OracleError) as info:
+        oracle_integers(p, a, b, values, cands.__getitem__)
+    err = info.value
+    assert err.uv == (5, 4)
+    assert (err.a, err.b, err.candidate) == (a, b, cands[2])
+    assert err.value == 3.25 and err.distance == pytest.approx(0.25)
+    for part in ("(u,v)=(5,4)", str(a), str(b), str(cands[2]), "3.25", "0.25"):
+        assert part in str(err)
+    # a value just inside the tolerance rounds; a NaN never does
+    assert oracle_integers(p, a, b, np.array([4 + INTEGER_TOL / 2]), cands.__getitem__).tolist() == [4]
+    with pytest.raises(OracleError):
+        oracle_integers(p, a, b, np.array([np.nan]), cands.__getitem__)
+
+
+def loop_fusion_oracle_suite(params, window=2):
+    """The fusion-oracle suite as it was: one oracle call per candidate."""
+    orbits = enumerate_infwts(params)
+    kappa = params.kappa
+    js = [Fraction(1, 7), Fraction(2, 7)]
+    checked = 0
+    for orb_a in orbits:
+        for orb_b in orbits:
+            a = standard_label(js[0], orb_a, 0)
+            b = standard_label(js[1], orb_b, 0)
+            closed = verify.fuse_standard(params, a, b)
+            for ell in range(-window, window + 2):
+                for shift in (0, -4 * kappa, 2 * kappa, -2 * kappa):
+                    for orb_c in orbits:
+                        cand = standard_label(js[0] + js[1] + shift, orb_c, ell)
+                        if is_nonsimple_standard(params, cand):
+                            continue
+                        got = loop_oracle(params, a, b, cand)
+                        if got != closed.coeff(cand):
+                            return False, f"oracle mismatch at {cand}: {got} vs {closed.coeff(cand)}"
+                        checked += 1
+    return True, f"{checked} coefficients"
+
+
+@pytest.mark.parametrize("u,v", [(5, 4), (4, 5)])
+def test_suite_agrees_with_the_loop_suite(u, v):
+    p = level_params(u, v)
+    assert verify.suite_fusion_oracle(p) == loop_fusion_oracle_suite(p)
+
+
+@pytest.mark.parametrize("u,v,picks", [(5, 4, (0,)), (4, 5, (-1,)), (5, 4, (0, -1))], ids=str)
+def test_dropped_terms_fail_at_the_loop_suites_candidate(monkeypatch, u, v, picks):
+    """A closed form missing one (or two) in-window terms of every product:
+    the batched suite names the first candidate the loop suite names."""
+    p = level_params(u, v)
+    real = verify.fuse_standard
+
+    def dropped(params, a, b):
+        full = real(params, a, b)
+        terms = [(lab, n) for lab, n in full if -4 <= lab.ell.twice <= 6 and not is_nonsimple_standard(params, lab)]
+        return full - FormalSum(dict(terms[i] for i in picks).items())
+
+    monkeypatch.setattr(verify, "fuse_standard", dropped)
+    got = verify.suite_fusion_oracle(p)
+    assert not got[0]
+    assert got == loop_fusion_oracle_suite(p)
+
+
+def test_a_non_integer_value_fails_the_suite_at_its_candidate(monkeypatch):
+    p = level_params(5, 4)
+    target = (HalfInt.of(1), Fraction(3, 7))
+
+    class Perturbed(VerlindeOracle):
+        def values(self, ell, charge):
+            out = super().values(ell, charge)
+            return out + 0.25 if (ell, charge) == target else out
+
+    monkeypatch.setattr(verify, "VerlindeOracle", Perturbed)
+    with pytest.raises(OracleError) as info:
+        verify.suite_fusion_oracle(p)
+    orbs = enumerate_infwts(p)
+    first = next(orb for orb in orbs if not is_nonsimple_standard(p, standard_label(target[1], orb, 1)))
+    err = info.value
+    assert (err.a.orbit, err.b.orbit, err.candidate) == (orbs[0], orbs[0], standard_label(target[1], first, 1))
+    assert err.distance == pytest.approx(0.25)
 
 
 @pytest.mark.parametrize("u,v", [(5, 4), (4, 5)])

@@ -1,9 +1,12 @@
 """Byte-for-byte CLI output on a fixed set of commands.
 
 Each file under tests/golden/ holds the stdout of one command, recorded
-before the S-matrix builder was rewritten on the sl3 factorisation.  The
-S-matrix dumps pin every printed float bit; the kernel, fusion and verify
-outputs pin the exact results that read the matrix.
+before the code it pins was rewritten: the S-matrix, kernel, fusion and
+(4,3) verify files before the S-matrix builder moved to the sl3
+factorisation, the (5,4) and (4,5) fusion-oracle files before the oracle
+was batched over candidate classes.  The S-matrix dumps pin every printed
+float bit; the kernel, fusion and verify outputs pin the exact results
+that read the matrix.
 """
 from pathlib import Path
 
@@ -21,6 +24,8 @@ COMMANDS = {
     "fuse-3-4-standard": ["fuse", "3", "4", "R~[1/7;[[0,0,0;1,0,0]]]^0", "R~[2/7;[[0,0,0;1,0,0]]]^0"],
     "fuse-3-4-resolution": ["fuse", "3", "4", "I[0,0,0;0,0,1]^0", "I[0,0,0;1,-1,1]^0"],
     "verify-4-3-fusion-oracle": ["verify", "4", "3", "--suite", "fusion-oracle"],
+    "verify-5-4-fusion-oracle": ["verify", "5", "4", "--suite", "fusion-oracle"],
+    "verify-4-5-fusion-oracle": ["verify", "4", "5", "--suite", "fusion-oracle"],
 }
 
 

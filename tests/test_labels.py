@@ -28,6 +28,7 @@ from bpfusion.labels import (
     resolution,
     rewrite_gap_standard,
     spectral_flow,
+    vacuum_label,
     standard_label,
     standard_to_twisted,
     twisted_to_standard,
@@ -120,6 +121,13 @@ class TestOrbitTypes:
         for u, v in SMALL_LEVELS:
             p = level_params(u, v)
             assert orbit_type(p, lab((u - 3, 0, 0), (v - 2, -1, 0))) == 3
+
+    def test_vacuum_label_is_the_type_3_vacuum(self):
+        for u, v in SMALL_LEVELS:
+            p = level_params(u, v)
+            vac = vacuum_label(p)
+            assert vac == hw_label(p, lab((u - 3, 0, 0), (v - 2, -1, 0)), 0)
+            assert orbit_type(p, vac.lam) == 3
 
     def test_v3_all_type_3(self):
         for u in (4, 5, 7):

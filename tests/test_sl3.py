@@ -181,3 +181,22 @@ class TestKacWalton:
             kac_walton(2, (3, 0, 0), (0, 1, 1), (0, 1, 1))
         with pytest.raises(ValueError):
             kac_walton(2, (0, 1, 1), (0, 1, 1), (-1, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        lambda: weight_multiplicities((1, 1)),
+        lambda: tensor_decompose((1, 0), (0, 1)),
+        lambda: fusion_table(2, (0, 1, 1), (0, 1, 1)),
+    ],
+    ids=["weight_multiplicities", "tensor_decompose", "fusion_table"],
+)
+def test_memoised_tables_are_read_only(table):
+    shared = table()
+    before = dict(shared)
+    with pytest.raises(TypeError):
+        shared[(0, 0)] = 99
+    with pytest.raises(TypeError):
+        del shared[next(iter(before))]
+    assert table() is shared and table() == before

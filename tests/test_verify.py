@@ -16,3 +16,9 @@ def test_every_suite_passes(u, v, name):
 def test_fusion_suites_pass_past_the_smallest_models(u, v, name):
     ok, detail = SUITES[name](level_params(u, v), None)
     assert ok, f"{name} at ({u},{v}): {detail}"
+
+
+@pytest.mark.parametrize("u,v", [(6, 5), (7, 5)])
+def test_fusion_oracle_passes_at_larger_levels(u, v):
+    ok, detail = SUITES["fusion-oracle"](level_params(u, v), None)
+    assert ok, f"fusion-oracle at ({u},{v}): {detail}"
