@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("u", type=int)
         p.add_argument("v", type=int)
         p.add_argument("labels", nargs="*" if nlabels == 0 else nlabels, metavar="LABEL")
-        p.add_argument("--json", action="store_true", default=True, dest="json_out")
         p.add_argument("--table", action="store_true")
         p.add_argument("--tol", default=None)
         p.add_argument("--depth", type=int, default=None)

@@ -24,6 +24,7 @@ from .levels import (
     jtw_of,
     level_params,
     orbit_of,
+    parse_orbit,
     sigma,
     sigma_inv,
 )
@@ -107,10 +108,6 @@ Label = HWLabel | StandardLabel
 
 def standard_label(j, orbit: OrbitClass, ell=0) -> StandardLabel:
     return StandardLabel(HalfInt.of(ell), _mod1(j), orbit)
-
-
-def is_leftmost(params: LevelParams, lam: RSLabel) -> bool:
-    return lam.s[2] != 0
 
 
 def hw_label(params: LevelParams, lam: RSLabel, ell=0) -> HWLabel:
@@ -437,7 +434,7 @@ class AtypicalSES:
 def atypical_ses(params: LevelParams, lam: RSLabel) -> AtypicalSES:
     """One-step resolution of I[lam] (lam leftmost) by a nonsimple standard."""
     check_surv(params, lam)
-    if not is_leftmost(params, lam):
+    if lam.s[2] == 0:
         raise LabelError(f"{lam} is not leftmost in its flow orbit")
     v = params.v
     r, s = lam.r, lam.s
@@ -589,12 +586,8 @@ def parse_standard(params: LevelParams, text: str) -> StandardLabel:
         j = Fraction(jtext)
     except (ValueError, ZeroDivisionError) as exc:
         raise LabelError(f"malformed charge in {text!r}: {exc}") from None
-    orbit = parse_orbit_text(params, orbtext)
+    orbit = parse_orbit(params, orbtext)
     return standard_label(j, orbit, ell)
-
-
-def parse_orbit_text(params: LevelParams, text: str) -> OrbitClass:
-    return orbit_of(params, OrbitClass.parse(text))
 
 
 def parse_label(params: LevelParams, text: str):
@@ -604,7 +597,7 @@ def parse_label(params: LevelParams, text: str):
     if body.startswith("I["):
         return parse_hw(params, body)
     if body.startswith("[["):
-        return parse_orbit_text(params, body)
+        return parse_orbit(params, body)
     if body.startswith("["):
         return check_surv(params, RSLabel.parse(body))
     raise LabelError(f"unrecognised label {text!r}")

@@ -6,11 +6,13 @@ conformal-weight data attached to each label.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
+
+from .sl3 import triality
 
 
 class AdmissibilityError(ValueError):
@@ -47,16 +49,6 @@ def level_params(u: int, v: int) -> LevelParams:
     c_w3 = 2 - Fraction(24 * (u - v) ** 2, u * v)
     c_pi = -1 + Fraction(6 * (3 * u - 4 * v), v)
     return LevelParams(u, v, k, kappa, c_bp, c_w3, c_pi)
-
-
-def insertion_mode(params: LevelParams) -> str:
-    """Which zero mode makes the one-point functions separate modules.
-
-    Bookkeeping only: "identity" when the cubic field is null (so plain
-    characters already separate), "cubic" otherwise.  No code path
-    depends on this.
-    """
-    return "identity" if (params.u, params.v) in {(3, 4), (4, 3), (3, 5), (5, 3)} else "cubic"
 
 
 Triple = tuple[int, int, int]
@@ -139,47 +131,16 @@ def check_surv(params: LevelParams, label: RSLabel) -> RSLabel:
 
 @dataclass(frozen=True, order=True)
 class OrbitClass:
-    """An order-3 orbit of interior labels, keyed by its smallest member."""
+    """An order-3 orbit of interior labels, keyed by its smallest member `rep` alone."""
 
     rep: RSLabel
-    members: tuple[RSLabel, RSLabel, RSLabel]
+    members: tuple[RSLabel, RSLabel, RSLabel] = field(compare=False)
 
     def __str__(self) -> str:
         return f"[{self.rep}]"
 
-    @staticmethod
-    def parse(text: str) -> "RSLabel":
-        body = text.strip()
-        if not (body.startswith("[[") and body.endswith("]]")):
-            raise LabelError(f"malformed orbit {text!r}: expected [[r;s]]")
-        return RSLabel.parse(body[1:-1])
-
     def __contains__(self, label: RSLabel) -> bool:
         return label in self.members
-
-
-def orbit_of(params: LevelParams, label: RSLabel) -> OrbitClass:
-    """The orbit of an interior label under the order-3 cycle."""
-    if not in_infwts(params, label):
-        raise LabelError(f"{label} is not an interior label at ({params.u},{params.v})")
-    a, b, c = label, sigma(label), sigma(sigma(label))
-    if len({a, b, c}) != 3:
-        raise LabelError(f"cycle is not free on {label}")
-    rep = min(a, b, c)
-    return OrbitClass(rep, (rep, sigma(rep), sigma(sigma(rep))))
-
-
-def parse_orbit(params: LevelParams, text: str) -> OrbitClass:
-    return orbit_of(params, OrbitClass.parse(text))
-
-
-def conjugate_orbit(params: LevelParams, orbit: OrbitClass) -> OrbitClass:
-    return orbit_of(params, conjugate_rs(orbit.rep))
-
-
-def vacuum_orbit(params: LevelParams) -> OrbitClass:
-    u, v = params.u, params.v
-    return orbit_of(params, RSLabel((u - 3, 0, 0), (v - 3, 0, 0)))
 
 
 @lru_cache(maxsize=None)
@@ -203,34 +164,86 @@ def enumerate_surv(params: LevelParams) -> list[RSLabel]:
     return list(_enumerate_surv(params.u, params.v))
 
 
-def enumerate_infwts(params: LevelParams) -> list[OrbitClass]:
-    """All orbits of interior labels, keyed by canonical representative."""
-    seen = set()
-    out = []
-    for lab in _enumerate_surv(params.u, params.v):
-        if lab.s[1] < 0:
-            continue
-        orb = orbit_of(params, lab)
-        if orb.rep not in seen:
-            seen.add(orb.rep)
-            out.append(orb)
-    out.sort()
-    return out
+@dataclass(frozen=True)
+class OrbitTable:
+    """Every orbit decision at one (u, v), made once and read-only: the sorted
+    `orbits` (the order of every S-matrix row and oracle vector), each
+    interior label's orbit (`index`), each orbit's `position` in `orbits`,
+    the `vacuum` orbit, and each orbit's `fusion_rep` (see below)."""
+
+    orbits: tuple[OrbitClass, ...]
+    index: MappingProxyType
+    position: MappingProxyType
+    vacuum: OrbitClass
+    fusion_rep: MappingProxyType
 
 
 @lru_cache(maxsize=None)
-def _orbit_index(u: int, v: int) -> MappingProxyType:
+def _orbit_table(u: int, v: int) -> OrbitTable:
     index = {}
-    for orb in enumerate_infwts(level_params(u, v)):
-        for member in orb.members:
-            index[member] = orb
-    return MappingProxyType(index)
+    for lab in _enumerate_surv(u, v):
+        # the cycle is free on interior labels: a fixed point needs 3 | u and 3 | v
+        if lab.s[1] >= 0 and lab not in index:
+            rep = min(lab, sigma(lab), sigma(sigma(lab)))
+            orb = OrbitClass(rep, (rep, sigma(rep), sigma(sigma(rep))))
+            index.update(dict.fromkeys(orb.members, orb))
+    orbits = tuple(sorted(set(index.values())))
+    # The fusion representative is the member whose r-projection lies on the
+    # root lattice (triality 0), or whose s-projection does when 3 | u.  A cycle
+    # step moves the r- and s-trialities by u - 3 and v - 3 (mod 3); gcd(u, v) = 1
+    # makes the chosen step nonzero, so exactly one member is aligned.  On it the
+    # W3 fusion coefficient is the product of the two affine ones.
+    on_s = u % 3 == 0
+    fusion_rep = {
+        orb: next(m for m in orb.members if triality((m.s if on_s else m.r)[1:]) == 0) for orb in orbits
+    }
+    return OrbitTable(
+        orbits=orbits,
+        index=MappingProxyType(index),
+        position=MappingProxyType({orb: i for i, orb in enumerate(orbits)}),
+        vacuum=index[RSLabel((u - 3, 0, 0), (v - 3, 0, 0))],
+        fusion_rep=MappingProxyType(fusion_rep),
+    )
+
+
+def orbit_table(params: LevelParams) -> OrbitTable:
+    """The orbit table at (u, v), built once per process."""
+    return _orbit_table(params.u, params.v)
+
+
+def orbit_of(params: LevelParams, label: RSLabel) -> OrbitClass:
+    """The orbit of an interior label under the order-3 cycle."""
+    try:
+        return _orbit_table(params.u, params.v).index[label]
+    except KeyError:
+        raise LabelError(f"{label} is not an interior label at ({params.u},{params.v})") from None
+
+
+def parse_orbit(params: LevelParams, text: str) -> OrbitClass:
+    """The orbit written [[r;s]], named by any of its members."""
+    body = text.strip()
+    if not (body.startswith("[[") and body.endswith("]]")):
+        raise LabelError(f"malformed orbit {text!r}: expected [[r;s]]")
+    return orbit_of(params, RSLabel.parse(body[1:-1]))
+
+
+def conjugate_orbit(params: LevelParams, orbit: OrbitClass) -> OrbitClass:
+    return orbit_of(params, conjugate_rs(orbit.rep))
+
+
+def vacuum_orbit(params: LevelParams) -> OrbitClass:
+    return orbit_table(params).vacuum
+
+
+def enumerate_infwts(params: LevelParams) -> list[OrbitClass]:
+    """All orbits of interior labels, sorted by canonical representative."""
+    return list(orbit_table(params).orbits)
 
 
 def orbit_index(params: LevelParams) -> MappingProxyType:
     """Every interior label mapped to its orbit: a read-only view, built
     once per (u, v).  A label is a key exactly when `orbit_of` accepts it."""
-    return _orbit_index(params.u, params.v)
+    return orbit_table(params).index
 
 
 # ---------------------------------------------------------------------------

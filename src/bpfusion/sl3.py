@@ -207,10 +207,6 @@ def sigma_affine(t: Affine3) -> Affine3:
     return (t[2], t[0], t[1])
 
 
-def conjugate_affine(t: Affine3) -> Affine3:
-    return (t[0], t[2], t[1])
-
-
 def _fold_alcove(level: int, w: Weight2) -> tuple[Weight2 | None, int]:
     """Fold the shifted weight into the fundamental alcove; None on a wall."""
     big = level + 3

@@ -27,6 +27,7 @@ from .levels import (
     enumerate_surv,
     hw_data,
     orbit_of,
+    orbit_table,
     w3_data,
 )
 from .verlinde import (
@@ -161,7 +162,7 @@ def suite_fusion_oracle(params: LevelParams, tol=None, window=2):
     rows_of: dict = {}
     for k, (ell, charge) in enumerate(classes):
         rows_of.setdefault((ell.twice, charge), []).append(k)
-    column = {orb.rep: c for c, orb in enumerate(orbits)}
+    position = orbit_table(params).position
 
     def candidate_at(i):
         ell, charge = classes[i // n]
@@ -174,7 +175,7 @@ def suite_fusion_oracle(params: LevelParams, tol=None, window=2):
             want = np.zeros((len(classes), n), dtype=complex)
             for label, coeff in fuse_standard(params, a, b).items():
                 for k in rows_of.get((label.ell.twice, label.j), ()):
-                    want[k, column[label.orbit.rep]] += coeff
+                    want[k, position[label.orbit]] += coeff
             oracle = VerlindeOracle(params, a, b)
             values = np.array([oracle.values(ell, charge) for ell, charge in classes])
             off = np.abs(values - want).ravel()[checked]

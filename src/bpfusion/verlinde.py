@@ -31,17 +31,20 @@ from .labels import (
 from .levels import (
     LabelError,
     LevelParams,
+    OrbitClass,
     RSLabel,
     hw_data,
     j_of,
     jtw_of,
     orbit_index,
     orbit_of,
+    orbit_table,
     sigma,
 )
 from .sl3 import fusion_table, kac_walton
 from .w3modular import (
     INTEGER_TOL,
+    POLE_TOL,
     _cached_smatrix,
     cexp,
     w3_fusion,
@@ -107,6 +110,12 @@ def _type3_middle_form(params: LevelParams, a: HWLabel) -> tuple[Fraction, RSLab
     return a.ell.as_fraction() - 1, mid
 
 
+def _type3_under_form(params: LevelParams, a: HWLabel) -> tuple[Fraction, RSLabel, OrbitClass]:
+    """The middle form of a type-3 label and its under-orbit [[mid.r; v-3,0,0]]."""
+    ell, mid = _type3_middle_form(params, a)
+    return ell, mid, orbit_of(params, RSLabel(mid.r, (params.v - 3, 0, 0)))
+
+
 def _denominator(params: LevelParams, b: StandardLabel) -> complex:
     kappa = params.kappa
     jk = float(b.j - kappa)
@@ -122,14 +131,13 @@ def type3_kernel(params: LevelParams, a: HWLabel, b: StandardLabel) -> SKernelEn
     if is_nonsimple_standard(params, b):
         raise GapDivergenceError(f"kernel diverges: {b} is nonsimple")
     kappa = params.kappa
-    ell, mid = _type3_middle_form(params, a)
+    ell, mid, under = _type3_under_form(params, a)
     lb = b.ell.as_fraction()
     jlam = j_of(params, mid)
     phase = -(2 * kappa * (ell - HALF) * lb + (ell - HALF) * (b.j - kappa) + jlam * lb)
-    under = orbit_of(params, RSLabel(mid.r, (params.v - 3, 0, 0)))
     w3 = _cached_smatrix(params).entry(under, b.orbit)
     den = _denominator(params, b)
-    if abs(den) < 1e-12:
+    if abs(den) < POLE_TOL:
         raise GapDivergenceError(f"kernel denominator vanished at {b}")
     return SKernelEntry(w3 * cexp(phase) / den, w3, phase, den)
 
@@ -181,8 +189,7 @@ def fuse_standard(params: LevelParams, a: StandardLabel, b: StandardLabel) -> Fo
 
 def fuse_type3_standard(params: LevelParams, a: HWLabel, b: StandardLabel) -> FormalSum:
     """Grothendieck fusion of a type-3 highest-weight label with a standard one."""
-    ell, mid = _type3_middle_form(params, a)
-    under = orbit_of(params, RSLabel(mid.r, (params.v - 3, 0, 0)))
+    ell, mid, under = _type3_under_form(params, a)
     jj = j_of(params, mid) + b.j
     flow = HalfInt.of(ell) + b.ell
     return FormalSum(
@@ -338,8 +345,7 @@ def _standard_factor(params: LevelParams, x: StandardLabel):
 
 
 def _type3_factor(params: LevelParams, x: HWLabel):
-    _, mid = _type3_middle_form(params, x)
-    under = orbit_of(params, RSLabel(mid.r, (params.v - 3, 0, 0)))
+    _, mid, under = _type3_under_form(params, x)
     two_k = x.ell.twice - 3  # 2 (ell - 1/2) with ell = x.ell - 1
     return (under, params.kappa * two_k + j_of(params, mid), two_k, -1)
 
@@ -458,7 +464,7 @@ def simple_candidates(params: LevelParams, charge) -> np.ndarray:
     charge = _mod1(charge)
     table = gap_table(params)
     return np.array(
-        [all(gap != charge for _, gap in table[orb]) for orb in _cached_smatrix(params).orbits], dtype=bool
+        [all(gap != charge for _, gap in table[orb]) for orb in orbit_table(params).orbits], dtype=bool
     )
 
 
@@ -479,7 +485,7 @@ def verlinde_oracle_row(params: LevelParams, a, b, ell, charge) -> np.ndarray:
     charge, ell = _mod1(charge), HalfInt.of(ell)
     simple = simple_candidates(params, charge)
     values = VerlindeOracle(params, a, b).values(ell, charge)
-    orbits = _cached_smatrix(params).orbits
+    orbits = orbit_table(params).orbits
     out = oracle_integers(params, a, b, values, lambda i: standard_label(charge, orbits[i], ell), simple)
     out[~simple] = 0
     return out

@@ -20,13 +20,12 @@ from .levels import (
     OrbitClass,
     RSLabel,
     conjugate_orbit,
-    enumerate_infwts,
     jtw_of,
     level_params,
     orbit_index,
     orbit_of,
+    orbit_table,
     sigma,
-    vacuum_orbit,
 )
 from .sl3 import (
     OMEGA,
@@ -35,7 +34,6 @@ from .sl3 import (
     fusion_table,
     ip,
     kac_walton,
-    triality,
     weight_multiplicities,
     weyl_character,
 )
@@ -48,6 +46,14 @@ DEFAULT_TOL = 1e-9
 # sum stands for, and a user tolerance near 0.5 would let a wrong integer
 # through.  Sampled at (11,10), the sums land within 2.5e-12 of integers.
 INTEGER_TOL = 1e-6
+
+# How near zero the type-3 kernel's denominator may come before the kernel
+# counts as divergent.  It is not --tol/BPFUSION_TOL either: the denominator
+# vanishes exactly on the gap charges, which are rejected exactly before it
+# is evaluated, so this bound only catches float rounding of an exact zero,
+# while a user tolerance bounds identities and, set loose, would declare
+# finite kernel entries divergent.
+POLE_TOL = 1e-12
 
 
 class SingularInputError(ValueError):
@@ -126,8 +132,8 @@ class W3SMatrix:
 
     def __init__(self, params: LevelParams):
         self.params = params
-        self.orbits = enumerate_infwts(params)
-        self._position = {orb: i for i, orb in enumerate(self.orbits)}
+        table = orbit_table(params)
+        self.orbits = table.orbits
         u, v = params.u, params.v
         r_weights, r_of = _distinct(_plus_rho(_proj(orb.rep.r)) for orb in self.orbits)
         s_weights, s_of = _distinct(_plus_rho(_proj(orb.rep.s)) for orb in self.orbits)
@@ -148,14 +154,14 @@ class W3SMatrix:
             ]
         matrix.setflags(write=False)
         self.matrix = matrix
-        self.vacuum_inverse = _read_only(1 / self.matrix[self.index(vacuum_orbit(params))])
+        self.vacuum_inverse = _read_only(1 / self.matrix[self.index(table.vacuum)])
         self.member_phase_sum = _read_only(
             [sum(cexp(jtw_of(params, m)) for m in orb.members) for orb in self.orbits]
         )
 
     def index(self, orbit: OrbitClass) -> int:
         try:
-            return self._position[orbit]
+            return orbit_table(self.params).position[orbit]
         except KeyError:
             raise LabelError(f"{orbit} is not an orbit at ({self.params.u},{self.params.v})") from None
 
@@ -265,14 +271,7 @@ def symmetric_sum_closed_form_check(x, xs, v: int, tol: float = DEFAULT_TOL) -> 
 
 def _gap_sines(params: LevelParams, jp: Fraction, orbit: OrbitClass):
     """The offsets c_i whose sines control every denominator below."""
-    kappa = params.kappa
-    rep = orbit.rep
-    out = []
-    lab = rep
-    for _ in range(3):
-        out.append(Fraction(jp) - kappa - jtw_of(params, lab))
-        lab = sigma(lab)
-    return out
+    return [Fraction(jp) - params.kappa - jtw_of(params, m) for m in orbit.members]
 
 
 def sum_fund_modules_check(
@@ -303,27 +302,19 @@ def sum_fund_modules_check(
 # Fusion coefficients
 
 
-def _select_rep(params: LevelParams, orbit: OrbitClass, use_r: bool) -> RSLabel:
-    want = 0
-    for member in orbit.members:
-        proj = _proj(member.r) if use_r else _proj(member.s)
-        if triality(proj) == want:
-            return member
-    raise LabelError(f"no orbit member of {orbit} has a root-lattice projection")
-
-
-def _use_r_condition(params: LevelParams) -> bool:
-    # one of u, v is coprime to 3; prefer the r-side whenever it is available
-    if params.u % 3 == 0:
-        return False
-    return True
+def _fusion_reps(params: LevelParams, *orbits: OrbitClass) -> list[RSLabel]:
+    reps = orbit_table(params).fusion_rep
+    try:
+        return [reps[orb] for orb in orbits]
+    except KeyError as exc:
+        raise LabelError(f"{exc.args[0]} is not an orbit at ({params.u},{params.v})") from None
 
 
 def w3_fusion(params: LevelParams, a: OrbitClass, b: OrbitClass, c: OrbitClass) -> int:
     """Fusion multiplicity of three orbits, as a product of two affine
-    fusion coefficients evaluated on root-lattice-aligned representatives."""
-    use_r = _use_r_condition(params)
-    ra, rb, rc = (_select_rep(params, orb, use_r) for orb in (a, b, c))
+    fusion coefficients evaluated on root-lattice-aligned representatives
+    (`levels.OrbitTable.fusion_rep`)."""
+    ra, rb, rc = _fusion_reps(params, a, b, c)
     n_r = kac_walton(params.u - 3, ra.r, rb.r, rc.r)
     if n_r == 0:
         return 0
@@ -338,8 +329,7 @@ def w3_fusion_support(params: LevelParams, a: OrbitClass, b: OrbitClass) -> list
     s-triples.  Each pair (r''; s'') drawn from the two tables is the picked
     representative of its own orbit, so distinct pairs give distinct orbits.
     """
-    use_r = _use_r_condition(params)
-    ra, rb = _select_rep(params, a, use_r), _select_rep(params, b, use_r)
+    ra, rb = _fusion_reps(params, a, b)
     index = orbit_index(params)
     s_side = fusion_table(params.v - 3, ra.s, rb.s)
     return [index[RSLabel(r, s)] for r in fusion_table(params.u - 3, ra.r, rb.r) for s in s_side]

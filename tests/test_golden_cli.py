@@ -4,14 +4,18 @@ Each file under tests/golden/ holds the stdout of one command, recorded
 before the code it pins was rewritten: the S-matrix, kernel, fusion and
 (4,3) verify files before the S-matrix builder moved to the sl3
 factorisation, the (5,4) and (4,5) fusion-oracle files before the oracle
-was batched over candidate classes.  The S-matrix dumps pin every printed
-float bit; the kernel, fusion and verify outputs pin the exact results
-that read the matrix.
+was batched over candidate classes, and the list-modules, orbit, resolve,
+simple-currents, full (4,3) verify and (6,5) fusion files before orbit
+identity, order and fusion representatives moved into one table per level
+pair.  The S-matrix dumps pin every printed float bit; the kernel, fusion
+and verify outputs pin the exact results that read the matrix.  The (6,5)
+fusion has u = 0 mod 3, so its W3 fusions take the s-side representative.
 """
 from pathlib import Path
 
 import pytest
 
+from bpfusion.cli import COMMANDS as CLI_COMMANDS
 from bpfusion.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -26,11 +30,23 @@ COMMANDS = {
     "verify-4-3-fusion-oracle": ["verify", "4", "3", "--suite", "fusion-oracle"],
     "verify-5-4-fusion-oracle": ["verify", "5", "4", "--suite", "fusion-oracle"],
     "verify-4-5-fusion-oracle": ["verify", "4", "5", "--suite", "fusion-oracle"],
+    "verify-4-3": ["verify", "4", "3"],
+    "list-modules-5-4": ["list-modules", "5", "4"],
+    "orbit-5-3": ["orbit", "5", "3", "[1,1,0;0,0,0]"],
+    "resolve-3-4": ["resolve", "3", "4", "I[0,0,0;0,0,1]", "--depth", "12"],
+    "simple-currents-5-3": ["simple-currents", "5", "3"],
+    "fuse-6-5-s-representative": [
+        "fuse", "6", "5", "R~[1/7;[[0,1,2;0,1,1]]]^0", "R~[2/7;[[1,1,1;0,1,1]]]^0",
+    ],
 }
 
 
 def test_every_golden_file_has_a_command():
     assert {p.stem for p in GOLDEN.glob("*.json")} == set(COMMANDS)
+
+
+def test_every_cli_command_has_a_golden_file():
+    assert {argv[0] for argv in COMMANDS.values()} == set(CLI_COMMANDS)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

@@ -14,7 +14,6 @@ from bpfusion.levels import (
     enumerate_surv,
     hw_data,
     in_infwts,
-    insertion_mode,
     j_of,
     jtw_of,
     level_params,
@@ -61,11 +60,6 @@ class TestLevelParams:
         p = level_params(u, v)
         assert p.c_bp == p.c_pi + p.c_w3
         assert p.kappa == (2 * p.k + 3) / 6
-
-    def test_insertion_mode_bookkeeping(self):
-        assert insertion_mode(level_params(4, 3)) == "identity"
-        assert insertion_mode(level_params(5, 3)) == "identity"
-        assert insertion_mode(level_params(4, 5)) == "cubic"
 
 
 class TestEnumeration:
