@@ -7,9 +7,14 @@ factorisation, the (5,4) and (4,5) fusion-oracle files before the oracle
 was batched over candidate classes, and the list-modules, orbit, resolve,
 simple-currents, full (4,3) verify and (6,5) fusion files before orbit
 identity, order and fusion representatives moved into one table per level
-pair.  The S-matrix dumps pin every printed float bit; the kernel, fusion
-and verify outputs pin the exact results that read the matrix.  The (6,5)
-fusion has u = 0 mod 3, so its W3 fusions take the s-side representative.
+pair, and the (7,5) and (5,4) fusion files before labels cached their
+hashes and standard fusion read the sl3 tables directly.  The S-matrix
+dumps pin every printed float bit; the kernel, fusion and verify outputs
+pin the exact results that read the matrix.  The (6,5) fusion has
+u = 0 mod 3, so its W3 fusions take the s-side representative.  The (7,5)
+fusion is a highest-weight label at half-integral flow against a standard
+label of charge 5/97, through resolutions (25 terms); the (5,4) fusion is
+highest-weight by highest-weight.
 """
 from pathlib import Path
 
@@ -38,6 +43,10 @@ COMMANDS = {
     "fuse-6-5-s-representative": [
         "fuse", "6", "5", "R~[1/7;[[0,1,2;0,1,1]]]^0", "R~[2/7;[[1,1,1;0,1,1]]]^0",
     ],
+    "fuse-7-5-resolution-half-flow": [
+        "fuse", "7", "5", "I[1,1,2;0,1,1]^1/2", "R~[5/97;[[1,1,2;0,1,1]]]^1",
+    ],
+    "fuse-5-4-hw-by-hw": ["fuse", "5", "4", "I[0,0,2;1,-1,1]^0", "I[0,1,1;0,0,1]^1/2"],
 }
 
 
