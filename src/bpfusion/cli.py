@@ -184,7 +184,7 @@ def cmd_resolve(params: LevelParams, args) -> dict:
         label = parse_label(params, f"I{args.labels[0]}")
     if not isinstance(label, HWLabel):
         raise LabelError("resolve expects a highest-weight label")
-    depth = args.depth or 9 * params.v
+    depth = 9 * params.v if args.depth is None else args.depth
     res = resolution(params, label, depth)
     return {"label": str(label), "depth": depth, "terms": res.to_json()}
 
@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("u", type=int)
         p.add_argument("v", type=int)
-        p.add_argument("labels", nargs="*" if nlabels == 0 else nlabels, metavar="LABEL")
+        if nlabels:
+            p.add_argument("labels", nargs=nlabels, metavar="LABEL")
         p.add_argument("--table", action="store_true")
         p.add_argument("--tol", default=None)
         p.add_argument("--depth", type=int, default=None)
@@ -259,14 +260,15 @@ def main(argv=None) -> int:
             args.tol = DEFAULT_TOL
         params = level_params(args.u, args.v)
         payload = handler(params, args)
-    except (ValueError, ZeroDivisionError, NotStabilisedError) as exc:
-        # AdmissibilityError, LabelError, GapDivergenceError and ToleranceError land here
+        _emit(args, payload)
+    except (ValueError, ZeroDivisionError, NotStabilisedError, OSError) as exc:
+        # AdmissibilityError, LabelError, GapDivergenceError and ToleranceError
+        # land here, and an --out file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OracleError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    _emit(args, payload)
     if args.command == "verify" and not payload["ok"]:
         return EXIT_VERIFY
     return EXIT_OK

@@ -20,6 +20,7 @@ from .levels import (
     RSLabel,
     check_surv,
     enumerate_infwts,
+    hash_once,
     in_infwts,
     jtw_of,
     level_params,
@@ -87,6 +88,8 @@ class HWLabel:
     ell: HalfInt
     lam: RSLabel
 
+    __hash__ = hash_once("ell", "lam")
+
     def __str__(self) -> str:
         return f"I{self.lam}^{self.ell}"
 
@@ -98,6 +101,8 @@ class StandardLabel:
     ell: HalfInt
     j: Fraction
     orbit: OrbitClass
+
+    __hash__ = hash_once("ell", "j", "orbit")
 
     def __str__(self) -> str:
         return f"R~[{self.j};[{self.orbit.rep}]]^{self.ell}"

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 from types import MappingProxyType
 
 from .sl3 import triality
@@ -54,12 +55,33 @@ def level_params(u: int, v: int) -> LevelParams:
 Triple = tuple[int, int, int]
 
 
+def hash_once(*fields: str):
+    """A `__hash__` for a frozen label dataclass: the hash of the compared
+    fields, computed on first use and kept on the instance.  Labels key
+    every orbit table, gap table and formal sum, so without it each lookup
+    would rehash the whole nested label.  Equality stays the dataclass's."""
+    key = attrgetter(*fields)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(key(self))
+            # two threads may both get here; they store the same value
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    return __hash__
+
+
 @dataclass(frozen=True, order=True)
 class RSLabel:
     """A pair of integer triples (r; s) labelling a weight."""
 
     r: Triple
     s: Triple
+
+    __hash__ = hash_once("r", "s")
 
     def __str__(self) -> str:
         r, s = self.r, self.s
@@ -135,6 +157,8 @@ class OrbitClass:
 
     rep: RSLabel
     members: tuple[RSLabel, RSLabel, RSLabel] = field(compare=False)
+
+    __hash__ = hash_once("rep")
 
     def __str__(self) -> str:
         return f"[{self.rep}]"

@@ -49,7 +49,6 @@ from .w3modular import (
     cexp,
     w3_fusion,
     w3_fusion_support,
-    w3_fusion_with_label,
 )
 
 HALF = Fraction(1, 2)
@@ -59,8 +58,27 @@ class GapDivergenceError(ValueError):
     """Kernel evaluated against a nonsimple standard label."""
 
 
+# how many unsettled terms a NotStabilisedError message lists; all are on `terms`
+UNSETTLED_SHOWN = 6
+
+
 class NotStabilisedError(RuntimeError):
-    """A depth-truncated fusion failed to settle; raise the depth."""
+    """A depth-truncated fusion failed to settle; raise the depth.
+
+    Carries what failed: the level pair `uv`, the inputs `a` and `b`, the
+    `depth`, the flow `top` the failed pass reached, and `terms`, the
+    nonzero terms of the window that did not settle.
+    """
+
+    def __init__(self, message: str, params: LevelParams, a, b, depth: int, top: int, terms: FormalSum):
+        self.uv = (params.u, params.v)
+        self.a, self.b, self.depth, self.top, self.terms = a, b, depth, top, terms
+        shown = FormalSum(list(terms)[:UNSETTLED_SHOWN])
+        more = f" + ... ({len(terms)} terms in all)" if len(terms) > len(shown) else ""
+        super().__init__(
+            f"{message} (u,v)=({params.u},{params.v}), depth {depth}, top {top}; "
+            f"unsettled terms {shown}{more}"
+        )
 
 
 class OracleError(RuntimeError):
@@ -165,26 +183,29 @@ def fuse_standard(params: LevelParams, a: StandardLabel, b: StandardLabel) -> Fo
     products with the six omega-shifted s-labels of b contribute at ell + 1
     (shift down) and ell (shift up).  A shifted label with a -1 entry sits on
     the alcove boundary, is no key of the orbit index, and contributes nothing.
+    Each of the four (flow, charge) pairs is made once per call.
     """
     kappa = params.kappa
     ell = a.ell + b.ell
     jj = a.j + b.j
-    terms = []
+    plain = ((ell + 2, _mod1(jj - 4 * kappa)), (ell - 1, _mod1(jj + 2 * kappa)))
+    shifted_outputs = ((-1, ell + 1, _mod1(jj - 2 * kappa)), (+1, ell, _mod1(jj)))
+    out = FormalSum()
+    add = out._add
     for orb in w3_fusion_support(params, a.orbit, b.orbit):
         n = w3_fusion(params, a.orbit, b.orbit, orb)
-        terms.append((standard_label(jj - 4 * kappa, orb, ell + 2), n))
-        terms.append((standard_label(jj + 2 * kappa, orb, ell - 1), n))
+        for flow, charge in plain:
+            add(StandardLabel(flow, charge, orb), n)
     rep = b.orbit.rep
     index = orbit_index(params)
     for i in range(3):
-        for sign, j_out, ell_out in ((-1, jj - 2 * kappa, ell + 1), (+1, jj, ell)):
-            shifted = RSLabel(rep.r, _omega_shift(rep.s, i, sign))
-            if shifted not in index:
+        for sign, flow, charge in shifted_outputs:
+            shifted = index.get(RSLabel(rep.r, _omega_shift(rep.s, i, sign)))
+            if shifted is None:
                 continue
-            for orb in w3_fusion_support(params, a.orbit, index[shifted]):
-                n = w3_fusion_with_label(params, a.orbit, shifted, orb)
-                terms.append((standard_label(j_out, orb, ell_out), n))
-    return FormalSum(terms)
+            for orb in w3_fusion_support(params, a.orbit, shifted):
+                add(StandardLabel(flow, charge, orb), w3_fusion(params, a.orbit, shifted, orb))
+    return out
 
 
 def fuse_type3_standard(params: LevelParams, a: HWLabel, b: StandardLabel) -> FormalSum:
@@ -222,7 +243,7 @@ def _exact_hw_standard_product(
     depth = top - b.ell.twice // 2 - a.ell.twice // 2 + 4
     res = resolution(params, a, max(depth, 1))
     parts = []
-    for term, coeff in res:
+    for term, coeff in res.items():
         key = (term, b)
         if key not in memo:
             memo[key] = fuse_standard(params, term, b)
@@ -230,8 +251,9 @@ def _exact_hw_standard_product(
     return FormalSum.combine(parts).restrict(lambda lab: lab.ell.twice <= 2 * top)
 
 
-def _stable_zone(fs: FormalSum, top: int, width: int) -> bool:
-    return not fs.restrict(lambda lab: 2 * (top - width) < lab.ell.twice <= 2 * top)
+def _zone(fs: FormalSum, top: int, width: int) -> FormalSum:
+    """The terms of fs at flows in (top - width, top]; empty once fs has telescoped."""
+    return fs.restrict(lambda lab: 2 * (top - width) < lab.ell.twice <= 2 * top)
 
 
 def fuse_general(params: LevelParams, a, b, depth: int | None = None) -> FormalSum:
@@ -271,25 +293,26 @@ def fuse_general(params: LevelParams, a, b, depth: int | None = None) -> FormalS
             raw = _exact_hw_standard_product(params, a, b, top, memo)
         else:
             res_b = resolution(params, b, top - (a.ell.twice + b.ell.twice) // 2 + margin)
-            cache: dict[tuple, FormalSum] = {}
+            cache: dict[StandardLabel, FormalSum] = {}
             parts = []
-            for term, coeff in res_b:
-                key = (term.j, term.orbit)
-                if key not in cache:
-                    base_term = StandardLabel(HalfInt.of(0), term.j, term.orbit)
-                    cache[key] = _exact_hw_standard_product(
+            for term, coeff in res_b.items():
+                base_term = StandardLabel(HalfInt.of(0), term.j, term.orbit)
+                if base_term not in cache:
+                    cache[base_term] = _exact_hw_standard_product(
                         params, a, base_term, top + 1 - term.ell.twice // 2, memo
                     )
-                parts.append((cache[key].shifted(params, term.ell), coeff))
+                parts.append((cache[base_term].shifted(params, term.ell), coeff))
             raw = FormalSum.combine(parts).restrict(lambda lab: lab.ell.twice <= 2 * top)
-        if _stable_zone(raw, top, period):
+        if not _zone(raw, top, period):
             return raw
         rewritten = rewrite_gaps(params, raw)
         safe_top = top - margin
         rewritten = rewritten.restrict(lambda lab: lab.ell.twice <= 2 * safe_top)
-        if not _stable_zone(rewritten, safe_top, period):
+        unsettled = _zone(rewritten, safe_top, period)
+        if unsettled:
             raise NotStabilisedError(
-                f"fusion of {a} and {b} did not telescope by flow {top}; raise the depth"
+                f"fusion of {a} and {b} did not telescope by flow {top}; raise the depth:",
+                params, a, b, depth, top, unsettled,
             )
         return rewritten
 
@@ -301,7 +324,9 @@ def fuse_general(params: LevelParams, a, b, depth: int | None = None) -> FormalS
     r1 = out1.restrict(lambda lab: lab.ell.twice <= 2 * window)
     r2 = out2.restrict(lambda lab: lab.ell.twice <= 2 * window)
     if r1 != r2 or out2 != r2:
-        raise NotStabilisedError(f"fusion of {a} and {b} is not stable at depth {depth}")
+        raise NotStabilisedError(
+            f"fusion of {a} and {b} is not stable at depth {depth}:", params, a, b, depth, top2, out2 - r1
+        )
     return r1
 
 

@@ -33,7 +33,6 @@ from .sl3 import (
     _mat_apply,
     fusion_table,
     ip,
-    kac_walton,
     weight_multiplicities,
     weyl_character,
 )
@@ -313,12 +312,14 @@ def _fusion_reps(params: LevelParams, *orbits: OrbitClass) -> list[RSLabel]:
 def w3_fusion(params: LevelParams, a: OrbitClass, b: OrbitClass, c: OrbitClass) -> int:
     """Fusion multiplicity of three orbits, as a product of two affine
     fusion coefficients evaluated on root-lattice-aligned representatives
-    (`levels.OrbitTable.fusion_rep`)."""
+    (`levels.OrbitTable.fusion_rep`).  The coefficients are read off the
+    two cached sl3 fusion tables: every representative is integrable, so
+    `kac_walton`'s check of the third weight would always pass."""
     ra, rb, rc = _fusion_reps(params, a, b, c)
-    n_r = kac_walton(params.u - 3, ra.r, rb.r, rc.r)
+    n_r = fusion_table(params.u - 3, ra.r, rb.r).get(rc.r, 0)
     if n_r == 0:
         return 0
-    return n_r * kac_walton(params.v - 3, ra.s, rb.s, rc.s)
+    return n_r * fusion_table(params.v - 3, ra.s, rb.s).get(rc.s, 0)
 
 
 def w3_fusion_support(params: LevelParams, a: OrbitClass, b: OrbitClass) -> list[OrbitClass]:

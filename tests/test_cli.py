@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bpfusion.cli import COMMANDS as CLI_COMMANDS
 from bpfusion.cli import main
 from bpfusion.labels import parse_label
 from bpfusion.levels import level_params
@@ -108,6 +109,27 @@ class TestErrors:
             err = capsys.readouterr().err
             assert code == 1
             assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_resolve_rejects_a_depth_below_one(self, capsys, depth):
+        code = main(["resolve", "7", "5", "I[1,1,2;0,1,1]", "--depth", depth])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: depth must be >= 1") and "Traceback" not in captured.err
+
+    def test_unwritable_out_file(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code = main(["smatrix-w3", "4", "3", "--out", str(target)])
+        err = capsys.readouterr().err
+        assert code == 1 and not target.exists()
+        assert err.startswith("error:") and "No such file or directory" in err
+
+    @pytest.mark.parametrize("command", [name for name, (_, n) in CLI_COMMANDS.items() if n == 0])
+    def test_zero_label_commands_refuse_a_label(self, capsys, command):
+        code = main([command, "5", "3", "[1,1,0;0,0,0]"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: unrecognized arguments: [1,1,0;0,0,0]" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "abc"])
     def test_bad_tolerance_flag(self, capsys, tol):

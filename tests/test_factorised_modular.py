@@ -25,6 +25,7 @@ from bpfusion.labels import (
     hw_label,
     is_nonsimple_standard,
     orbit_type,
+    parse_label,
     standard_label,
 )
 from bpfusion.levels import (
@@ -43,6 +44,7 @@ from bpfusion.verlinde import (
     VerlindeOracle,
     oracle_integers,
     _type3_middle_form,
+    fuse,
     fuse_standard,
     fuse_type3_standard,
     simple_candidates,
@@ -141,6 +143,18 @@ def test_threads_on_a_fresh_level_pair_agree():
     p = level_params(7, 4)
     draws = _support_draws(p, random.Random(74), 40)
     expected = [fuse_standard(p, a, b).coeff(c) for a, b, c in draws]
+    hw_pairs = [
+        (hw_label(p, RSLabel((1, 1, 2), (0, 0, 1)), 0), draws[0][0]),
+        (hw_label(p, RSLabel((0, 2, 2), (1, -1, 1)), 1), draws[1][1]),
+    ]
+    expected_std = [fuse_standard(p, a, b) for a, b, _ in draws]
+    expected_hw = [fuse(p, h, b) for h, b in hw_pairs]
+    # every thread fuses the same label objects, rebuilt from their text so
+    # that no hash of theirs (or of a weight label inside) is cached yet
+    shared_std = [(parse_label(p, str(a)), parse_label(p, str(b))) for a, b, _ in draws]
+    shared_hw = [(parse_label(p, str(h)), parse_label(p, str(b))) for h, b in hw_pairs]
+    fresh = [x for pair in shared_std + shared_hw for x in pair] + [h.lam for h, _ in shared_hw]
+    assert not any("_hash" in vars(x) for x in fresh)
     # make sure no thread finds (7, 4) already built
     w3modular._smatrix_at.cache_clear()
     labels._gap_table.cache_clear()
@@ -149,7 +163,8 @@ def test_threads_on_a_fresh_level_pair_agree():
     def work():
         barrier.wait()
         smat = _cached_smatrix(p)
-        return smat.matrix, [verlinde_oracle(p, a, b, c) for a, b, c in draws]
+        products = [fuse_standard(p, a, b) for a, b in shared_std] + [fuse(p, h, b) for h, b in shared_hw]
+        return smat.matrix, [verlinde_oracle(p, a, b, c) for a, b, c in draws], products
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -159,9 +174,10 @@ def test_threads_on_a_fresh_level_pair_agree():
             results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    for matrix, values in results:
+    for matrix, values, products in results:
         assert np.array_equal(matrix, results[0][0])
         assert values == expected
+        assert products == expected_std + expected_hw
     assert np.array_equal(_cached_smatrix(p).matrix, results[0][0])
 
 

@@ -528,6 +528,35 @@ class TestGeneralFusion:
                 fuse_general(p, t2a, t2b, depth=depth)
         assert fuse_general(p, t2a, t2b, depth=14) == full
 
+    def test_not_stabilised_error_names_what_failed(self):
+        from bpfusion.verlinde import NotStabilisedError
+
+        p = level_params(3, 4)
+        t2a = hw_label(p, lab((0, 0, 0), (1, 0, 0)), 0)
+        t2b = hw_label(p, lab((0, 0, 0), (1, -1, 1)), 0)
+        # the first pass fails to telescope
+        with pytest.raises(NotStabilisedError) as info:
+            fuse_general(p, t2a, t2b, depth=3)
+        err = info.value
+        assert (err.uv, err.a, err.b, err.depth, err.top) == ((3, 4), t2a, t2b, 3, 6)
+        assert err.terms == FormalSum(
+            [(hw_label(p, lab((0, 0, 0), (0, 0, 1)), 0), 1), (hw_label(p, lab((0, 0, 0), (0, -1, 2)), 1), 1)]
+        )
+        text = str(err)
+        assert text.startswith(f"fusion of {t2a} and {t2b} did not telescope by flow 6; raise the depth")
+        assert "(u,v)=(3,4), depth 3, top 6" in text and str(err.terms) in text
+        # both passes telescope but disagree on the window
+        t1 = hw_label(p, lab((0, 0, 0), (0, 0, 1)), 0)
+        b = standard_label(Fraction(1, 7), orbit_of(p, lab((0, 0, 0), (0, 0, 1))), 0)
+        with pytest.raises(NotStabilisedError) as info:
+            fuse_general(p, t1, b, depth=11)
+        err = info.value
+        assert (err.uv, err.a, err.b, err.depth, err.top) == ((3, 4), t1, b, 11, 25)
+        assert err.terms and all(c for _, c in err.terms)
+        text = str(err)
+        assert text.startswith(f"fusion of {t1} and {b} is not stable at depth 11")
+        assert "(u,v)=(3,4), depth 11, top 25" in text and str(err.terms) in text
+
     def test_dispatcher_routes(self):
         p = level_params(3, 4)
         o = orb34(p)
