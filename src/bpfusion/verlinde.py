@@ -235,41 +235,30 @@ def fuse_type3_type3(params: LevelParams, a: HWLabel, b: HWLabel) -> FormalSum:
 # General fusion via resolutions
 
 
-def _exact_hw_standard_product(
-    params: LevelParams, a: HWLabel, b: StandardLabel, top: int, memo: dict
-) -> FormalSum:
-    """Distribute the resolution of `a` through standard fusion; exact for
-    output flows <= top.  `memo` maps (term, b) to fuse_standard(term, b)."""
-    depth = top - b.ell.twice // 2 - a.ell.twice // 2 + 4
-    res = resolution(params, a, max(depth, 1))
-    parts = []
-    for term, coeff in res.items():
-        key = (term, b)
-        if key not in memo:
-            memo[key] = fuse_standard(params, term, b)
-        parts.append((memo[key], coeff))
-    return FormalSum.combine(parts).restrict(lambda lab: lab.ell.twice <= 2 * top)
-
-
 def _zone(fs: FormalSum, top: int, width: int) -> FormalSum:
     """The terms of fs at flows in (top - width, top]; empty once fs has telescoped."""
     return fs.restrict(lambda lab: 2 * (top - width) < lab.ell.twice <= 2 * top)
 
 
-def fuse_general(params: LevelParams, a, b, depth: int | None = None) -> FormalSum:
-    """Grothendieck fusion computed from resolutions and telescope collection.
+def fuse_general(params: LevelParams, a: HWLabel, b, depth: int | None = None) -> FormalSum:
+    """Grothendieck fusion of a highest-weight label `a` with a highest-weight
+    or standard label `b`, computed from resolutions and telescope collection.
 
-    Accepts any mix of highest-weight and standard labels.  Nonsimple
-    standard terms in the collected output are re-expressed through their
-    exact sequences; the result must stabilise within the given depth.
+    b is resolved once (a standard b is its own one-term resolution) and
+    each distinct flow-0 term of that is fused once with a's resolution;
+    flowed into place, the copies make one product.  That product is
+    settled cut at a shallow and at a deep top: nonsimple standard terms
+    are re-expressed through their exact sequences, and the result must
+    telescope within the given depth and agree between the two cuts.
+    `fuse` dispatches every other mix of labels.
     """
+    if not isinstance(a, HWLabel):
+        raise LabelError(f"fuse_general takes a highest-weight label first, not {a}")
+    if not isinstance(b, (HWLabel, StandardLabel)):
+        raise LabelError(f"fusion takes highest-weight or standard labels, not {b}")
     v = params.v
     if depth is None:
         depth = 9 * v
-    if isinstance(a, StandardLabel) and isinstance(b, StandardLabel):
-        return fuse_standard(params, a, b)
-    if isinstance(a, StandardLabel):
-        a, b = b, a
     # resolutions live in the integral-flow sector; pull half units out front
     half = HalfInt.of(HALF)
     shift_back = HalfInt.of(0)
@@ -282,32 +271,40 @@ def fuse_general(params: LevelParams, a, b, depth: int | None = None) -> FormalS
     if shift_back.twice:
         return fuse_general(params, a, b, depth).shifted(params, shift_back)
 
-    base = (a.ell.twice + b.ell.twice) // 2 + 2
+    flow_a, flow_b = a.ell.twice // 2, b.ell.twice // 2
     period = 3 * v
     margin = 4
-    # the second, deeper pass repeats every standard product of the first
-    memo: dict[tuple, FormalSum] = {}
+    top1 = flow_a + flow_b + 2 + depth
+    top2 = top1 + period
+    # fuse_standard lowers flow by at most 1, so the resolution terms each cut
+    # below leaves out only reach output flows >= top2 + 4: the product is
+    # exact at flows <= top2, and cut at top1 it is what a shallower one gives
+    if isinstance(b, StandardLabel):
+        res_b = FormalSum.lone(b)
+    else:
+        res_b = resolution(params, b, top2 - flow_a - flow_b + margin)
+    zero = HalfInt.of(0)
+    placed = [(StandardLabel(zero, term.j, term.orbit), term.ell, coeff) for term, coeff in res_b.items()]
+    lowest: dict[StandardLabel, int] = {}  # flow-0 term -> the lowest flow it is placed at
+    for base_term, ell, _ in placed:
+        flow = ell.twice // 2
+        lowest[base_term] = min(flow, lowest.get(base_term, flow))
+    products = {}
+    for base_term, flow in lowest.items():
+        res_a = resolution(params, a, max(top2 - flow - flow_a + margin, 1))
+        products[base_term] = FormalSum.combine(
+            (fuse_standard(params, term, base_term), coeff) for term, coeff in res_a.items()
+        )
+    product = FormalSum.combine(
+        (products[base_term].shifted(params, ell), coeff) for base_term, ell, coeff in placed
+    )
 
-    def compute(top: int) -> FormalSum:
-        if isinstance(b, StandardLabel):
-            raw = _exact_hw_standard_product(params, a, b, top, memo)
-        else:
-            res_b = resolution(params, b, top - (a.ell.twice + b.ell.twice) // 2 + margin)
-            cache: dict[StandardLabel, FormalSum] = {}
-            parts = []
-            for term, coeff in res_b.items():
-                base_term = StandardLabel(HalfInt.of(0), term.j, term.orbit)
-                if base_term not in cache:
-                    cache[base_term] = _exact_hw_standard_product(
-                        params, a, base_term, top + 1 - term.ell.twice // 2, memo
-                    )
-                parts.append((cache[base_term].shifted(params, term.ell), coeff))
-            raw = FormalSum.combine(parts).restrict(lambda lab: lab.ell.twice <= 2 * top)
+    def settle(top: int) -> FormalSum:
+        raw = product.restrict(lambda lab: lab.ell.twice <= 2 * top)
         if not _zone(raw, top, period):
             return raw
-        rewritten = rewrite_gaps(params, raw)
         safe_top = top - margin
-        rewritten = rewritten.restrict(lambda lab: lab.ell.twice <= 2 * safe_top)
+        rewritten = rewrite_gaps(params, raw).restrict(lambda lab: lab.ell.twice <= 2 * safe_top)
         unsettled = _zone(rewritten, safe_top, period)
         if unsettled:
             raise NotStabilisedError(
@@ -316,10 +313,8 @@ def fuse_general(params: LevelParams, a, b, depth: int | None = None) -> FormalS
             )
         return rewritten
 
-    top1 = base + depth
-    top2 = top1 + period
-    out1 = compute(top1)
-    out2 = compute(top2)
+    out1 = settle(top1)
+    out2 = settle(top2)
     window = top1 - period - margin
     r1 = out1.restrict(lambda lab: lab.ell.twice <= 2 * window)
     r2 = out2.restrict(lambda lab: lab.ell.twice <= 2 * window)

@@ -14,7 +14,10 @@ pin the exact results that read the matrix.  The (6,5) fusion has
 u = 0 mod 3, so its W3 fusions take the s-side representative.  The (7,5)
 fusion is a highest-weight label at half-integral flow against a standard
 label of charge 5/97, through resolutions (25 terms); the (5,4) fusion is
-highest-weight by highest-weight.
+highest-weight by highest-weight.  The (5,4) out-of-order resolution
+fusion was recorded before the resolution path was rewritten to build
+one product; its second label's resolution lists a standard term at flow
+11 before the same term at flow 5.
 """
 from pathlib import Path
 
@@ -47,6 +50,7 @@ COMMANDS = {
         "fuse", "7", "5", "I[1,1,2;0,1,1]^1/2", "R~[5/97;[[1,1,2;0,1,1]]]^1",
     ],
     "fuse-5-4-hw-by-hw": ["fuse", "5", "4", "I[0,0,2;1,-1,1]^0", "I[0,1,1;0,0,1]^1/2"],
+    "fuse-5-4-out-of-order-resolution": ["fuse", "5", "4", "I[2,0,0;1,-1,1]^3", "I[1,0,1;1,-1,1]^1"],
 }
 
 

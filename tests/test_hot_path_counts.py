@@ -4,7 +4,9 @@ A label hashes its fields once and keeps the value, so `Fraction.__hash__`
 (reached only through a standard label's charge) runs at most once per
 label built.  W3 fusion coefficients are read off the two sl3 fusion
 tables, so the Kac-Walton entry point, which re-checks integrability on
-every call, is never reached.
+every call, is never reached.  The resolution path resolves its second
+label once, and its first label once per distinct flow-0 term of that
+resolution (once in all against a standard label).
 """
 import sys
 from fractions import Fraction
@@ -48,3 +50,41 @@ def test_one_fuse_hashes_each_charge_once_and_skips_kac_walton(monkeypatch):
     assert counts["built"] > 0
     assert counts["fraction_hash"] <= counts["built"], counts
     assert counts["kac_walton"] == 0, counts
+
+
+def _counting_resolution(monkeypatch, seen):
+    """Record the (label, result) of every `resolution` call in bpfusion."""
+    original = labels.resolution
+
+    def counted(params, lam, depth):
+        out = original(params, lam, depth)
+        seen.append((lam, out))
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bpfusion" and module.__dict__.get("resolution") is original:
+            monkeypatch.setattr(module, "resolution", counted)
+
+
+def test_one_resolution_against_a_standard_label(monkeypatch):
+    p = level_params(7, 5)
+    a = parse_label(p, "I[1,1,2;0,1,1]^1/2")
+    b = parse_label(p, "R~[5/97;[[1,1,2;0,1,1]]]^1")
+    seen = []
+    _counting_resolution(monkeypatch, seen)
+    fuse(p, a, b)
+    assert len(seen) == 1, [str(lam) for lam, _ in seen]
+
+
+def test_one_resolution_per_distinct_base_term_of_the_second_label(monkeypatch):
+    p = level_params(5, 4)
+    a = parse_label(p, "I[2,0,0;1,-1,1]^3")
+    b = parse_label(p, "I[1,0,1;1,-1,1]^1")
+    seen = []
+    _counting_resolution(monkeypatch, seen)
+    fuse(p, a, b)
+    of_b = [res for lam, res in seen if lam == b]
+    assert len(of_b) == 1
+    base_terms = {(term.j, term.orbit) for term, _ in of_b[0].items()}
+    assert len(base_terms) == 3
+    assert len(seen) == 1 + len(base_terms), [str(lam) for lam, _ in seen]

@@ -4,7 +4,10 @@ coprime 3 <= u, v <= 8.
 Labels keep their hash after its first use, so a label must hash the
 same whichever way it was built, and differently from a label that
 differs in any one field.  Printed labels parse back to equal labels.
-Standard fusion is commutative and conserves J = j + 2 kappa ell mod 1.
+Standard fusion is commutative and conserves J = j + 2 kappa ell mod 1,
+is associative through `fuse_sums`, and agrees with the Verlinde oracle
+on every simple candidate of every class (flow, charge) a product
+touches.
 """
 from fractions import Fraction
 from math import gcd
@@ -21,6 +24,7 @@ from bpfusion.labels import (
     spectral_flow,
     standard_label,
 )
+from bpfusion.labels import FormalSum
 from bpfusion.levels import (
     OrbitClass,
     RSLabel,
@@ -30,7 +34,7 @@ from bpfusion.levels import (
     orbit_of,
     parse_orbit,
 )
-from bpfusion.verlinde import fuse_standard
+from bpfusion.verlinde import fuse_standard, fuse_sums, simple_candidates, verlinde_oracle_row
 
 PAIRS = [(u, v) for u in range(3, 9) for v in range(3, 9) if gcd(u, v) == 1]
 levels = st.sampled_from(PAIRS).map(lambda uv: level_params(*uv))
@@ -138,3 +142,37 @@ def test_standard_fusion_is_commutative_and_conserves_charge(data):
         assert isinstance(label.j, Fraction) and 0 <= label.j < 1
         assert (total_charge(p, label) - want).denominator == 1, (a, b, label)
         assert label.ell.twice in flows
+
+
+# charges k/97 share no denominator with any level's kappa; flows -2..2
+fusion_charges = st.integers(0, 96).map(lambda k: Fraction(k, 97))
+fusion_flows = st.integers(-4, 4).map(lambda twice: Fraction(twice, 2))
+
+
+def _fusion_standard(data, p) -> StandardLabel:
+    orbit = data.draw(st.sampled_from(enumerate_infwts(p)))
+    return standard_label(data.draw(fusion_charges), orbit, data.draw(fusion_flows))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_standard_fusion_is_associative(data):
+    p = data.draw(levels)
+    a, b, c = (_fusion_standard(data, p) for _ in range(3))
+    lhs = fuse_sums(p, fuse_standard(p, a, b), FormalSum.lone(c))
+    rhs = fuse_sums(p, FormalSum.lone(a), fuse_standard(p, b, c))
+    assert lhs == rhs
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_verlinde_oracle_row_matches_standard_fusion(data):
+    p = data.draw(levels)
+    a, b = _fusion_standard(data, p), _fusion_standard(data, p)
+    product = fuse_standard(p, a, b)
+    orbits = enumerate_infwts(p)
+    for ell, charge in {(label.ell, label.j) for label, _ in product}:
+        row = verlinde_oracle_row(p, a, b, ell, charge)
+        for orbit, simple, got in zip(orbits, simple_candidates(p, charge), row):
+            if simple:
+                assert got == product.coeff(standard_label(charge, orbit, ell)), (a, b, orbit, ell, charge)

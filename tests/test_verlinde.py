@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -566,6 +567,73 @@ class TestGeneralFusion:
         assert fuse(p, b, t1) == fuse_general(p, t1, b)
         assert fuse(p, vac, b) == fuse_type3_standard(p, vac, b)
         assert fuse(p, vac, vac) == fuse_type3_type3(p, vac, vac)
+
+    def test_dispatcher_passes_standard_pairs_and_swaps_highest_weight_first(self, monkeypatch):
+        import bpfusion.verlinde as verlinde
+
+        p = level_params(3, 4)
+        o = orb34(p)
+        t1 = hw_label(p, lab((0, 0, 0), (0, 0, 1)), 0)
+        s1, s2 = standard_label(Fraction(1, 7), o, 0), standard_label(Fraction(2, 7), o, 1)
+        calls = []
+
+        def recording(name, fn):
+            def wrapped(params, x, y, *rest):
+                calls.append((name, x, y))
+                return fn(params, x, y, *rest)
+
+            return wrapped
+
+        monkeypatch.setattr(verlinde, "fuse_standard", recording("standard", verlinde.fuse_standard))
+        monkeypatch.setattr(verlinde, "fuse_general", recording("general", verlinde.fuse_general))
+        fuse(p, s1, s2)
+        assert calls == [("standard", s1, s2)]
+        calls.clear()
+        fuse(p, s1, t1)
+        assert calls[0] == ("general", t1, s1)
+        assert {name for name, _, _ in calls} == {"general", "standard"}
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            standard_label(Fraction(1, 7), orbit_of(level_params(3, 4), lab((0, 0, 0), (0, 0, 1))), 0),
+            lab((0, 0, 0), (0, 0, 1)),
+            "I[0,0,0;0,0,1]^0",
+        ],
+        ids=["standard", "weight", "text"],
+    )
+    def test_fuse_general_takes_a_highest_weight_label_first(self, first):
+        p = level_params(3, 4)
+        t1 = hw_label(p, lab((0, 0, 0), (0, 0, 1)), 0)
+        with pytest.raises(LabelError, match=f"highest-weight label first, not {re.escape(str(first))}$"):
+            fuse_general(p, first, t1)
+
+    def test_each_resolution_term_gets_a_product_deep_enough_for_its_flow(self):
+        # b's resolution lists R~[3/4;[[0,1,1;0,1,0]]] at flow 11 before flow
+        # 5; the flow-5 copy must not read a product cut for flow 11
+        from bpfusion.labels import parse_label, rewrite_gaps
+        from bpfusion.verlinde import NotStabilisedError
+
+        p = level_params(5, 4)
+        a, b = parse_label(p, "I[2,0,0;1,-1,1]^3"), parse_label(p, "I[1,0,1;1,-1,1]^1")
+        flows = [t.ell.twice // 2 for t, _ in resolution(p, b, 12).items() if t.j == Fraction(3, 4)]
+        assert flows.index(11) < flows.index(5)
+        with pytest.raises(NotStabilisedError) as info:
+            fuse_general(p, a, b, depth=5)
+        err = info.value
+        # uncached reference: both resolutions deep, cut at top, gaps
+        # rewritten, then the zone of the last period below top - 4
+        top, period = err.top, 3 * p.v
+        res_a, res_b = resolution(p, a, top + period), resolution(p, b, top + period)
+        product = FormalSum.combine(
+            (fuse_standard(p, x, y), cx * cy) for x, cx in res_a.items() for y, cy in res_b.items()
+        )
+        raw = product.restrict(lambda t: t.ell.twice <= 2 * top)
+        settled = rewrite_gaps(p, raw).restrict(lambda t: 2 * (top - 4 - period) < t.ell.twice <= 2 * (top - 4))
+        assert err.terms == settled
+        assert settled == FormalSum(
+            [(parse_label(p, "I[1,1,0;0,0,1]^3"), 1), (parse_label(p, "I[1,0,1;0,-1,2]^4"), 1)]
+        )
 
 
 class TestGeneralFusionConsistency:
