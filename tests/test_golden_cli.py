@@ -17,7 +17,11 @@ label of charge 5/97, through resolutions (25 terms); the (5,4) fusion is
 highest-weight by highest-weight.  The (5,4) out-of-order resolution
 fusion was recorded before the resolution path was rewritten to build
 one product; its second label's resolution lists a standard term at flow
-11 before the same term at flow 5.
+11 before the same term at flow 5.  The (6,5) highest-weight by
+highest-weight fusion (u = 0 mod 3, so s-side representatives, at
+half-integral flow) and the (8,7) resolution fusion (the first past
+(7,5)) were recorded before the resolution path moved to integer keys
+over one charge denominator per call.
 """
 from pathlib import Path
 
@@ -51,6 +55,8 @@ COMMANDS = {
     ],
     "fuse-5-4-hw-by-hw": ["fuse", "5", "4", "I[0,0,2;1,-1,1]^0", "I[0,1,1;0,0,1]^1/2"],
     "fuse-5-4-out-of-order-resolution": ["fuse", "5", "4", "I[2,0,0;1,-1,1]^3", "I[1,0,1;1,-1,1]^1"],
+    "fuse-6-5-hw-by-hw-half-flow": ["fuse", "6", "5", "I[1,0,2;1,-1,2]^1/2", "I[1,1,1;1,0,1]^1"],
+    "fuse-8-7-resolution": ["fuse", "8", "7", "I[2,1,2;1,1,2]^1", "R~[11/97;[[0,2,3;1,2,1]]]^-1"],
 }
 
 
