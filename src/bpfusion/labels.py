@@ -24,7 +24,6 @@ from .levels import (
     in_infwts,
     jtw_of,
     level_params,
-    orbit_of,
     parse_orbit,
     sigma,
     sigma_inv,
@@ -111,8 +110,18 @@ class StandardLabel:
 Label = HWLabel | StandardLabel
 
 
+def _exact_charge(j) -> Fraction:
+    """j as a Fraction; a float (binary, so inexact) or a non-number is a LabelError."""
+    if not isinstance(j, float):
+        try:
+            return Fraction(j)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise LabelError(f"charge {j!r} is not an exact rational")
+
+
 def standard_label(j, orbit: OrbitClass, ell=0) -> StandardLabel:
-    return StandardLabel(HalfInt.of(ell), _mod1(j), orbit)
+    return StandardLabel(HalfInt.of(ell), _mod1(_exact_charge(j)), orbit)
 
 
 def hw_label(params: LevelParams, lam: RSLabel, ell=0) -> HWLabel:
@@ -261,11 +270,19 @@ def gap_charges(params: LevelParams, orbit: OrbitClass, convention: str = "integ
     return {_mod1(jtw_of(params, member) + shift) for member in orbit.members}
 
 
+@lru_cache(maxsize=None)
+def _gap_of_member(u: int, v: int) -> MappingProxyType:
+    # every interior label -> (its orbit, its gap charge), read off the gap table
+    return MappingProxyType({m: (orb, j) for orb, members in _gap_table(u, v).items() for m, j in members})
+
+
 def nonsimple_standard(params: LevelParams, member: RSLabel, ell=0) -> StandardLabel:
     """The nonsimple standard label attached to an interior weight label."""
-    if not in_infwts(params, member):
-        raise LabelError(f"{member} is not an interior label")
-    return standard_label(jtw_of(params, member) + params.kappa, orbit_of(params, member), ell)
+    try:
+        orbit, charge = _gap_of_member(params.u, params.v)[member]
+    except KeyError:
+        raise LabelError(f"{member} is not an interior label") from None
+    return StandardLabel(HalfInt.of(ell), charge, orbit)
 
 
 def standard_to_twisted(params: LevelParams, label: StandardLabel) -> tuple[HalfInt, Fraction, OrbitClass]:
@@ -275,7 +292,7 @@ def standard_to_twisted(params: LevelParams, label: StandardLabel) -> tuple[Half
 
 def twisted_to_standard(params: LevelParams, ell, j, orbit: OrbitClass) -> StandardLabel:
     ell = HalfInt.of(ell)
-    return standard_label(Fraction(j) + params.kappa, orbit, ell - HalfInt.of(Fraction(1, 2)))
+    return standard_label(_exact_charge(j) + params.kappa, orbit, ell - HalfInt.of(Fraction(1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -169,43 +170,77 @@ def vacuum_kernel(params: LevelParams, b: StandardLabel) -> SKernelEntry:
 # Closed-form Grothendieck fusion
 
 
-def _omega_shift(s, i: int, sign: int):
-    out = list(s)
-    out[i] += sign
-    out[(i + 1) % 3] -= sign
-    return tuple(out)
+# the four output classes of a standard product, as (flow step, multiple of
+# kappa added to the charge): the plain W3 product lands at the first two,
+# the products with b's omega-shifted s-labels (down, then up) at the last two
+STANDARD_CLASSES = ((2, -4), (-1, 2), (1, -2), (0, 0))
+OMEGA_SHIFTS = ((1, -1, 0), (0, 1, -1), (-1, 0, 1))  # of an s-label, by sign -1 (down) or +1 (up)
+
+
+def _standard_rows(params: LevelParams, a: OrbitClass, b: OrbitClass) -> tuple:
+    """The W3 part of `fuse_standard`: one row of (orbit position, coefficient)
+    pairs per entry of STANDARD_CLASSES.  The three shifts of each direction
+    are merged into one row; a shifted label with a -1 entry sits on the
+    alcove boundary, is no key of the orbit index, and contributes nothing."""
+    position, index, rep = orbit_table(params).position, orbit_index(params), b.rep
+
+    def row(sign: int) -> tuple:
+        out: dict[int, int] = {}
+        for step in OMEGA_SHIFTS if sign else ((0, 0, 0),):
+            f = index.get(RSLabel(rep.r, tuple(x + sign * d for x, d in zip(rep.s, step))))
+            for orb in w3_fusion_support(params, a, f) if f else ():
+                out[position[orb]] = out.get(position[orb], 0) + w3_fusion(params, a, f, orb)
+        return tuple(out.items())
+
+    plain = row(0)
+    return (plain, plain, row(-1), row(+1))
 
 
 def fuse_standard(params: LevelParams, a: StandardLabel, b: StandardLabel) -> FormalSum:
-    """Grothendieck fusion of two standard labels (closed form).
-
-    The plain W3 product contributes at flows ell + 2 and ell - 1; the
-    products with the six omega-shifted s-labels of b contribute at ell + 1
-    (shift down) and ell (shift up).  A shifted label with a -1 entry sits on
-    the alcove boundary, is no key of the orbit index, and contributes nothing.
-    Each of the four (flow, charge) pairs is made once per call.
-    """
-    kappa = params.kappa
-    ell = a.ell + b.ell
-    jj = a.j + b.j
-    plain = ((ell + 2, _mod1(jj - 4 * kappa)), (ell - 1, _mod1(jj + 2 * kappa)))
-    shifted_outputs = ((-1, ell + 1, _mod1(jj - 2 * kappa)), (+1, ell, _mod1(jj)))
+    """Grothendieck fusion of two standard labels (closed form), read off
+    `_standard_rows`; each of the four (flow, charge) pairs is made once."""
+    kappa, orbits = params.kappa, orbit_table(params).orbits
+    ell, jj = a.ell + b.ell, a.j + b.j
     out = FormalSum()
-    add = out._add
-    for orb in w3_fusion_support(params, a.orbit, b.orbit):
-        n = w3_fusion(params, a.orbit, b.orbit, orb)
-        for flow, charge in plain:
-            add(StandardLabel(flow, charge, orb), n)
-    rep = b.orbit.rep
-    index = orbit_index(params)
-    for i in range(3):
-        for sign, flow, charge in shifted_outputs:
-            shifted = index.get(RSLabel(rep.r, _omega_shift(rep.s, i, sign)))
-            if shifted is None:
-                continue
-            for orb in w3_fusion_support(params, a.orbit, shifted):
-                add(StandardLabel(flow, charge, orb), w3_fusion(params, a.orbit, shifted, orb))
+    for (step, mult), row in zip(STANDARD_CLASSES, _standard_rows(params, a.orbit, b.orbit)):
+        flow, charge = ell + step, _mod1(jj + mult * kappa)
+        for pos, n in row:
+            out._add(StandardLabel(flow, charge, orbits[pos]), n)
     return out
+
+
+def _resolved_product(params: LevelParams, res_b: FormalSum, resolve_a) -> FormalSum:
+    """The sum of cx * cy * fuse_standard(x, y) over the terms y, cy of res_b
+    and x, cx of resolve_a(f), f the lowest flow at which y's charge and
+    orbit occur in res_b; flowed copies of one such term share a product.
+    All charges lie in (1/D)Z, D the lcm of 6v (a resolution's charges) and
+    res_b's denominators, so a term is an integer key (twice its flow, charge
+    numerator over D mod D, orbit position); only surviving keys become labels."""
+    den = math.lcm(6 * params.v, *(y.j.denominator for y, _ in res_b.items()))
+    classes = [(2 * step, mult * (params.kappa * den).numerator) for step, mult in STANDARD_CLASSES]
+    rows = cache(lambda orb_a, orb_b: _standard_rows(params, orb_a, orb_b))
+    placed: dict = {}  # (charge, orbit) of a term of res_b -> [(twice its flow, coeff)]
+    for y, cy in res_b.items():
+        placed.setdefault((y.j, y.orbit), []).append((y.ell.twice, cy))
+    total: dict[tuple[int, int, int], int] = {}
+    for (j, orb_b), copies in placed.items():
+        num_b = j.numerator * (den // j.denominator)
+        part: dict[tuple[int, int, int], int] = {}
+        for x, cx in resolve_a(min(t for t, _ in copies) // 2).items():
+            num = x.j.numerator * (den // x.j.denominator) + num_b
+            for (dt, dn), row in zip(classes, rows(x.orbit, orb_b)):
+                t, n = x.ell.twice + dt, (num + dn) % den
+                for pos, c in row:
+                    key = (t, n, pos)
+                    part[key] = part.get(key, 0) + cx * c
+        for (t, n, pos), c in part.items():
+            if c:
+                for tb, cy in copies:
+                    key = (t + tb, n, pos)
+                    total[key] = total.get(key, 0) + cy * c
+    orbits, total = orbit_table(params).orbits, {key: c for key, c in total.items() if c}
+    charges = {n: Fraction(n, den) for _, n, _ in total}
+    return FormalSum((StandardLabel(HalfInt(t), charges[n], orbits[pos]), c) for (t, n, pos), c in total.items())
 
 
 def fuse_type3_standard(params: LevelParams, a: HWLabel, b: StandardLabel) -> FormalSum:
@@ -283,20 +318,8 @@ def fuse_general(params: LevelParams, a: HWLabel, b, depth: int | None = None) -
         res_b = FormalSum.lone(b)
     else:
         res_b = resolution(params, b, top2 - flow_a - flow_b + margin)
-    zero = HalfInt.of(0)
-    placed = [(StandardLabel(zero, term.j, term.orbit), term.ell, coeff) for term, coeff in res_b.items()]
-    lowest: dict[StandardLabel, int] = {}  # flow-0 term -> the lowest flow it is placed at
-    for base_term, ell, _ in placed:
-        flow = ell.twice // 2
-        lowest[base_term] = min(flow, lowest.get(base_term, flow))
-    products = {}
-    for base_term, flow in lowest.items():
-        res_a = resolution(params, a, max(top2 - flow - flow_a + margin, 1))
-        products[base_term] = FormalSum.combine(
-            (fuse_standard(params, term, base_term), coeff) for term, coeff in res_a.items()
-        )
-    product = FormalSum.combine(
-        (products[base_term].shifted(params, ell), coeff) for base_term, ell, coeff in placed
+    product = _resolved_product(
+        params, res_b, lambda flow: resolution(params, a, max(top2 - flow - flow_a + margin, 1))
     )
 
     def settle(top: int) -> FormalSum:

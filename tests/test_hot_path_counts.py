@@ -6,12 +6,17 @@ label built.  W3 fusion coefficients are read off the two sl3 fusion
 tables, so the Kac-Walton entry point, which re-checks integrability on
 every call, is never reached.  The resolution path resolves its second
 label once, and its first label once per distinct flow-0 term of that
-resolution (once in all against a standard label).
+resolution (once in all against a standard label).  It builds that
+product on integer keys: `fuse_standard` is never called, each distinct
+pair of orbits has its W3 rows read once, and labels are built only for
+the terms that survive.
 """
 import sys
 from fractions import Fraction
 
-from bpfusion import labels, levels, sl3
+import pytest
+
+from bpfusion import labels, levels, sl3, verlinde, w3modular
 from bpfusion.labels import parse_label
 from bpfusion.levels import level_params
 from bpfusion.verlinde import fuse
@@ -27,6 +32,14 @@ def _counting(counts, key, fn):
     return counted
 
 
+def _count_in_bpfusion(monkeypatch, counts, key, original):
+    """Count the calls made through every bpfusion module name bound to `original`."""
+    counted = _counting(counts, key, original)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bpfusion" and module.__dict__.get(key) is original:
+            monkeypatch.setattr(module, key, counted)
+
+
 def test_one_fuse_hashes_each_charge_once_and_skips_kac_walton(monkeypatch):
     p = level_params(7, 5)
     a = parse_label(p, "I[1,1,2;0,1,1]^1/2")
@@ -37,11 +50,7 @@ def test_one_fuse_hashes_each_charge_once_and_skips_kac_walton(monkeypatch):
     for cls in LABEL_TYPES:
         monkeypatch.setattr(cls, "__init__", _counting(counts, "built", cls.__init__))
     monkeypatch.setattr(Fraction, "__hash__", _counting(counts, "fraction_hash", Fraction.__hash__))
-    original = sl3.kac_walton
-    counted = _counting(counts, "kac_walton", original)
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "bpfusion" and module.__dict__.get("kac_walton") is original:
-            monkeypatch.setattr(module, "kac_walton", counted)
+    _count_in_bpfusion(monkeypatch, counts, "kac_walton", sl3.kac_walton)
 
     product = fuse(p, a, b)
     monkeypatch.undo()
@@ -50,6 +59,40 @@ def test_one_fuse_hashes_each_charge_once_and_skips_kac_walton(monkeypatch):
     assert counts["built"] > 0
     assert counts["fraction_hash"] <= counts["built"], counts
     assert counts["kac_walton"] == 0, counts
+
+
+def _resolution_path_counts(monkeypatch, u, v, first, second):
+    p = level_params(u, v)
+    a, b = parse_label(p, first), parse_label(p, second)
+    expected = fuse(p, a, b)  # warm every per-level cache first
+    counts = dict.fromkeys(("StandardLabel", "fuse_standard", "w3_fusion"), 0)
+    monkeypatch.setattr(
+        labels.StandardLabel, "__init__", _counting(counts, "StandardLabel", labels.StandardLabel.__init__)
+    )
+    _count_in_bpfusion(monkeypatch, counts, "fuse_standard", verlinde.fuse_standard)
+    _count_in_bpfusion(monkeypatch, counts, "w3_fusion", w3modular.w3_fusion)
+    product = fuse(p, a, b)
+    monkeypatch.undo()
+    assert product == expected
+    return counts
+
+
+def test_resolution_path_reads_rows_once_per_orbit_pair(monkeypatch):
+    counts = _resolution_path_counts(monkeypatch, 7, 5, "I[1,1,2;0,1,1]^1/2", "R~[5/97;[[1,1,2;0,1,1]]]^1")
+    assert counts["fuse_standard"] == 0, counts
+    assert counts["w3_fusion"] <= 250, counts
+    assert counts["StandardLabel"] <= 150, counts
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [("I[0,0,2;1,-1,1]^0", "I[0,1,1;0,0,1]^1/2"), ("I[2,0,0;1,-1,1]^3", "I[1,0,1;1,-1,1]^1")],
+    ids=["hw-by-hw", "out-of-order"],
+)
+def test_highest_weight_pair_reads_few_w3_coefficients(monkeypatch, first, second):
+    counts = _resolution_path_counts(monkeypatch, 5, 4, first, second)
+    assert counts["fuse_standard"] == 0, counts
+    assert counts["w3_fusion"] <= 60, counts
 
 
 def _counting_resolution(monkeypatch, seen):

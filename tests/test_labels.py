@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -258,6 +259,29 @@ class TestGapStructure:
             for member, charge in zip(orb.members, charges):
                 assert gap_member(p, standard_label(charge, orb, 0)) == member
             assert gap_member(p, standard_label(Fraction(1, 997), orb, 0)) is None
+
+    @pytest.mark.parametrize("u,v", SMALL_LEVELS)
+    def test_nonsimple_standard_reads_the_gap_table(self, u, v):
+        p = level_params(u, v)
+        for member in enumerate_surv(p):
+            if not in_infwts(p, member):
+                with pytest.raises(LabelError, match=re.escape(f"{member} is not an interior label")):
+                    nonsimple_standard(p, member, 0)
+                continue
+            got = nonsimple_standard(p, member, Fraction(3, 2))
+            assert got == standard_label(jtw_of(p, member) + p.kappa, orbit_of(p, member), Fraction(3, 2))
+            assert gap_member(p, got) == member
+
+    @pytest.mark.parametrize("charge", [0.1, "x", 0.5, None])
+    def test_standard_label_rejects_an_inexact_charge(self, charge):
+        orb = enumerate_infwts(level_params(3, 4))[0]
+        with pytest.raises(LabelError, match=re.escape(f"charge {charge!r} is not an exact rational")):
+            standard_label(charge, orb, 0)
+
+    def test_standard_label_takes_exact_charges(self):
+        orb = enumerate_infwts(level_params(3, 4))[0]
+        assert standard_label("8/7", orb, 0).j == Fraction(1, 7) == standard_label(Fraction(-6, 7), orb).j
+        assert standard_label(3, orb).j == 0
 
     def test_gap_member_rejects_a_foreign_orbit(self):
         foreign = enumerate_infwts(level_params(5, 4))[1]
