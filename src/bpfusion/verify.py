@@ -37,6 +37,7 @@ from .verlinde import (
     fuse_type3_standard,
     fuse_general,
     oracle_integers,
+    oracle_values,
     simple_candidates,
     simple_currents,
     subring_iso_check,
@@ -46,12 +47,12 @@ from .w3modular import (
     DEFAULT_TOL,
     INTEGER_TOL,
     W3SMatrix,
+    _cached_smatrix,
+    fusion_factors,
     ratio_weyl_character_check,
-    sigma_phase_check,
+    sigma_phase_checks,
     sum_fund_modules_check,
     tensor_sum_check,
-    w3_fusion,
-    w3_verlinde,
     SingularInputError,
 )
 
@@ -84,27 +85,29 @@ def suite_w3_unitarity(params: LevelParams, tol=None):
 
 
 def suite_w3_sigma_phase(params: LevelParams, tol=None):
-    tol = _tol(tol)
-    orbits = enumerate_infwts(params)
-    for a in orbits:
-        for b in orbits:
-            if not sigma_phase_check(params, a.rep, b.rep, tol):
-                return False, f"phase identity failed at ({a}, {b})"
-    return True, f"{len(orbits) ** 2} pairs"
+    """A failure names the first bad orbit pair in row-major order."""
+    bad = ~sigma_phase_checks(params, _tol(tol))
+    if bad.any():
+        orbits = enumerate_infwts(params)
+        a, b = divmod(int(np.argmax(bad)), len(orbits))
+        return False, f"phase identity failed at ({orbits[a]}, {orbits[b]})"
+    return True, f"{bad.size} pairs"
 
 
 def suite_w3_verlinde(params: LevelParams, tol=None):
-    orbits = enumerate_infwts(params)
-    count = 0
-    for a in orbits:
-        for b in orbits:
-            for c in orbits:
-                target = w3_fusion(params, a, b, c)
-                numeric = w3_verlinde(params, a, b, c)
-                if abs(numeric - target) > INTEGER_TOL:
-                    return False, f"Verlinde mismatch at ({a},{b},{c}): {numeric} vs {target}"
-                count += 1
-    return True, f"{count} triples"
+    """w3_fusion against the Verlinde sum: for each a, (S * S[a] / S[vac]) @ S^dagger
+    against the fusion factors' N_a.  A failure names the first bad (a, b, c)."""
+    smat, factors = _cached_smatrix(params), fusion_factors(params)
+    s, orbits = smat.matrix, smat.orbits
+    for a in range(len(orbits)):
+        numeric = (s * (s[a] * smat.vacuum_inverse)) @ s.conj().T
+        target = factors.fusion_matrix(a)
+        bad = ~(np.abs(numeric - target) <= INTEGER_TOL)  # a NaN fails too
+        if bad.any():
+            b, c = divmod(int(np.argmax(bad)), len(orbits))
+            where, value = (orbits[a], orbits[b], orbits[c]), complex(numeric[b, c])
+            return False, f"Verlinde mismatch at ({','.join(map(str, where))}): {value} vs {target[b, c]}"
+    return True, f"{len(orbits) ** 3} triples"
 
 
 def suite_appendix(params: LevelParams, tol=None, samples=30, seed=7):
@@ -138,51 +141,50 @@ def suite_fusion_oracle(params: LevelParams, tol=None, window=2):
     simple candidate (a, b, ell, shift, c): 4 charge shifts, flows -window
     to window + 1, every orbit.
 
-    Each (a, b) pair is one VerlindeOracle, read a candidate class at a
-    time, and the pair's checks are taken as one (class, orbit) array: an
-    entry passes when its value is within INTEGER_TOL of the closed-form
-    integer.  A failure is the first in (a, b, ell, shift, c) order: an
-    OracleError when the value there is no integer, else a mismatch.
+    Every a (and every b) has one charge and flow, so each class's term of
+    D's expansion is found once.  For each a, `oracle_values` gives every
+    b's candidate values as one (b, class, orbit) array: an entry passes
+    when its value is within INTEGER_TOL of the closed-form integer.  A
+    failure is the first in (a, b, ell, shift, c) order: an OracleError
+    when the value there is no integer, else a mismatch.
     """
     orbits = enumerate_infwts(params)
-    n = len(orbits)
-    kappa = params.kappa
+    n, kappa = len(orbits), params.kappa
     js = [Fraction(1, 7), Fraction(2, 7)]
     classes = [
         (HalfInt.of(ell), _mod1(js[0] + js[1] + shift))
         for ell in range(-window, window + 2)
         for shift in (0, -4 * kappa, 2 * kappa, -2 * kappa)
     ]
-    masks = {charge: simple_candidates(params, charge).tolist() for _, charge in classes}
     # the flat (class, orbit) positions of the simple candidates, in order
-    checked = np.array(
-        [k * n + c for k, (_, charge) in enumerate(classes) for c in range(n) if masks[charge][c]], dtype=np.int64
-    )
+    checked = np.flatnonzero([simple_candidates(params, charge) for _, charge in classes])
     # where each term of a closed form lands: its class rows and orbit column
     rows_of: dict = {}
     for k, (ell, charge) in enumerate(classes):
         rows_of.setdefault((ell.twice, charge), []).append(k)
     position = orbit_table(params).position
+    inputs_a, inputs_b = ([standard_label(j, orb, 0) for orb in orbits] for j in js)
+    oracle = VerlindeOracle(params, inputs_a[0], inputs_b[0])
+    terms = [oracle._term(ell.twice, charge) for ell, charge in classes]
+    smat = _cached_smatrix(params)
 
     def candidate_at(i):
         ell, charge = classes[i // n]
         return standard_label(charge, orbits[i % n], ell)
 
-    for orb_a in orbits:
-        for orb_b in orbits:
-            a = standard_label(js[0], orb_a, 0)
-            b = standard_label(js[1], orb_b, 0)
-            want = np.zeros((len(classes), n), dtype=complex)
+    for row_a, a in zip(smat.matrix, inputs_a):
+        values = oracle_values(smat, smat.vacuum_inverse * row_a * smat.matrix, terms).reshape(n, -1)
+        want = np.zeros(values.shape, dtype=np.int64)
+        for want_b, b in zip(want, inputs_b):
             for label, coeff in fuse_standard(params, a, b).items():
                 for k in rows_of.get((label.ell.twice, label.j), ()):
-                    want[k, position[label.orbit]] += coeff
-            oracle = VerlindeOracle(params, a, b)
-            values = np.array([oracle.values(ell, charge) for ell, charge in classes])
-            off = np.abs(values - want).ravel()[checked]
-            if checked.size and not off.max() <= INTEGER_TOL:  # a NaN fails too
-                i = next(int(i) for i, x in zip(checked, off) if not x <= INTEGER_TOL)
-                got = oracle_integers(params, a, b, values.ravel()[i : i + 1], lambda _: candidate_at(i))
-                return False, f"oracle mismatch at {candidate_at(i)}: {got[0]} vs {int(want.ravel()[i].real)}"
+                    want_b[k * n + position[label.orbit]] += coeff
+        bad = ~(np.abs(values[:, checked] - want[:, checked]) <= INTEGER_TOL)  # a NaN fails too
+        if bad.any():
+            ib, x = divmod(int(np.argmax(bad)), checked.size)
+            i, b = int(checked[x]), inputs_b[ib]
+            got = oracle_integers(params, a, b, values[ib, i : i + 1], lambda _: candidate_at(i))
+            return False, f"oracle mismatch at {candidate_at(i)}: {got[0]} vs {want[ib, i]}"
     return True, f"{n * n * checked.size} coefficients"
 
 

@@ -411,9 +411,19 @@ def oracle_integers(params: LevelParams, a, b, values: np.ndarray, candidate_at,
     return nearest.astype(np.int64)
 
 
-# the row of each expansion term (0, +1, -1) in VerlindeOracle's products; the
-# term None, a class of zeros, reads a row of zeros
-_TERM_ROW = {0: 0, 1: 1, -1: 2, None: 3}
+def oracle_values(smat, base: np.ndarray, terms) -> np.ndarray:
+    """Unrounded oracle values at every candidate orbit, shape (len(base),
+    len(terms), n), from the W3SMatrix `smat`.  A row of `base` is S[a] *
+    S[b] / S[vac] for an input pair, a class is its term of D's expansion (see
+    VerlindeOracle).  Each term is one product S* @ (weight * base) over the
+    stack, weight 1, -sum e(jtw) or its conjugate; None reads 0."""
+    weights = {0: 1, 1: -smat.member_phase_sum, -1: -smat.member_phase_sum.conj()}
+    out = np.zeros((len(base), len(terms), base.shape[1]), dtype=complex)
+    for term in set(terms) - {None}:
+        # S* @ w for each row w, as conj(w* @ S^T): no conjugate matrix is formed
+        product = np.conj(np.conj(base * weights[term]) @ smat.matrix.T)
+        out[:, [k for k, t in enumerate(terms) if t == term]] = product[:, None]
+    return out
 
 
 class VerlindeOracle:
@@ -426,8 +436,7 @@ class VerlindeOracle:
     its class (ell, charge): the class alone fixes the congruence, 2K and
     the power of D, and so the one term of D's expansion that survives.
     The values of every candidate of a class are therefore one product
-    S* @ (weight / S[vac] * S[a] * S[b]), with weight 1, -sum e(jtw) or
-    its conjugate; the three products are made together, once.
+    (`oracle_values`); the term does not depend on the inputs' orbits.
 
     Inputs may be standard labels or type-3 highest-weight labels, at
     most one of the latter (two would leave a live denominator).
@@ -456,19 +465,14 @@ class VerlindeOracle:
         self._d_total = d_a + d_b + 1
         rows = smat.matrix
         self._base = smat.vacuum_inverse * rows[smat.index(orb_a)] * rows[smat.index(orb_b)]
-        self._residues: dict = {}  # charge -> (offset - charge) as (numerator * kd, denominator)
-        self._products = None  # the values of each term over every candidate orbit
 
     def _term(self, ell_twice: int, charge: Fraction):
         """The term of D's expansion that the class (ell, charge) extracts:
         0 for weight 1, +1 or -1 for -sum e(jtw) or its conjugate, and None
         when every coefficient of the class is 0."""
         kn, kd = self._kappa
-        residue = self._residues.get(charge)
-        if residue is None:
-            diff = self._offset - charge
-            residue = self._residues[charge] = (diff.numerator * kd, diff.denominator)
-        num, den = residue
+        diff = self._offset - charge
+        num, den = diff.numerator * kd, diff.denominator
         # diff - kappa * ell_twice, over the denominator den * kd, must be an integer
         if (num - kn * ell_twice * den) % (den * kd):
             return None
@@ -483,21 +487,10 @@ class VerlindeOracle:
         return None
 
     def values(self, ell: HalfInt, charge: Fraction) -> np.ndarray:
-        """The oracle values of standard_label(charge, c, ell) for every orbit
-        c of `enumerate_infwts`, unrounded and read-only.  `charge` must lie
-        in [0, 1), as a standard label stores it.  Values at nonsimple
-        candidates carry no meaning."""
-        term = self._term(ell.twice, charge)
-        if self._products is None:
-            base, phases = self._base, self._smat.member_phase_sum
-            weighted = np.array([base, -base * phases, -base * phases.conj()])
-            products = np.zeros((4, len(base)), dtype=complex)
-            # S* @ w for each weighted w, taken as conj(w* @ S^T) so that no
-            # conjugate matrix is formed
-            products[:3] = np.conj(np.conj(weighted) @ self._smat.matrix.T)
-            products.setflags(write=False)
-            self._products = products
-        return self._products[_TERM_ROW[term]]
+        """The unrounded oracle values of standard_label(charge, c, ell) for
+        every orbit c of `enumerate_infwts`; `charge` lies in [0, 1), as a
+        standard label stores it.  Nonsimple candidates' values mean nothing."""
+        return oracle_values(self._smat, self._base[None], [self._term(ell.twice, charge)])[0, 0]
 
 
 def simple_candidates(params: LevelParams, charge) -> np.ndarray:

@@ -54,6 +54,9 @@ INTEGER_TOL = 1e-6
 # finite kernel entries divergent.
 POLE_TOL = 1e-12
 
+# 3 <x, y> = x @ _FORM3 @ y, an integer on integer weights (see sl3.ip)
+_FORM3 = np.array([[2, 1], [1, 2]], dtype=np.int64)
+
 
 class SingularInputError(ValueError):
     """An identity was evaluated at (or too near) a singular point."""
@@ -77,6 +80,17 @@ def _weyl_sum(scale: Fraction, a, b) -> complex:
     total = 0j
     for m, det in WEYL:
         total += det * cexp(-scale * ip(_mat_apply(m, a), b))
+    return total
+
+
+def _weyl_sums(scale: Fraction, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """`_weyl_sum(scale, x, y)` for every row x of `xs` against every row y
+    of `ys`, integer rho-shifted weights.  Each exponent is reduced exactly,
+    as the integer num * 3<w x, y> mod 3 * den, before the float exp."""
+    num, mod = scale.numerator, 3 * scale.denominator
+    total = np.zeros((len(xs), len(ys)), dtype=complex)
+    for m, det in WEYL:
+        total += det * np.exp(-2j * math.pi * ((num * (xs @ np.array(m).T @ _FORM3 @ ys.T)) % mod) / mod)
     return total
 
 
@@ -108,8 +122,8 @@ def xi_point(params: LevelParams, s_proj) -> tuple[complex, complex]:
     return (scale * (s_proj[0] + 1), scale * (s_proj[1] + 1))
 
 
-def _read_only(values) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
+def _read_only(values, dtype=complex) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -197,18 +211,31 @@ class W3SMatrix:
 # Identity suite
 
 
-def sigma_phase_check(params: LevelParams, a: RSLabel, b: RSLabel, tol: float = DEFAULT_TOL) -> bool:
-    """Cycling the r- or s-triple of the row label multiplies the entry by
-    a pure phase fixed by the column label's twisted charge."""
-    v = params.v
-    base = w3_smatrix_entry(params, a, b)
-    phase = (-1) ** v * cexp(v * jtw_of(params, b))
-    r_cycled = RSLabel(sigma(a).r, a.s)
-    s_cycled = RSLabel(a.r, sigma(a).s)
-    ok_r = abs(w3_smatrix_entry(params, r_cycled, b) - phase * base) <= tol
-    ok_s = abs(w3_smatrix_entry(params, s_cycled, b) - base / phase) <= tol
-    ok_both = abs(w3_smatrix_entry(params, sigma(a), b) - base) <= tol
-    return ok_r and ok_s and ok_both
+def sigma_phase_checks(params: LevelParams, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Cycling the r- or s-triple of a row label multiplies its S-entry by a
+    phase fixed by the column's twisted charge; cycling both leaves it.  As
+    an n x n boolean array over orbit pairs: the cycled rows, from
+    `_weyl_sums`, against phase * S, S / phase and S, S the cached matrix."""
+    u, v = params.u, params.v
+    reps = [orb.rep for orb in orbit_table(params).orbits]
+    r, s, r_cyc, s_cyc = (
+        np.array([_plus_rho(_proj(getattr(x, side))) for x in labels], dtype=np.int64)
+        for labels in (reps, [sigma(x) for x in reps])
+        for side in "rs"
+    )
+
+    def rows(rows_r, rows_s):
+        phases = np.exp(2j * math.pi * ((rows_r @ _FORM3 @ s.T + rows_s @ _FORM3 @ r.T) % 3) / 3)
+        weyl = _weyl_sums(Fraction(v, u), rows_r, r) * _weyl_sums(Fraction(u, v), rows_s, s)
+        return phases * weyl / (math.sqrt(3) * u * v)
+
+    smat = _cached_smatrix(params).matrix
+    phase = np.array([(-1) ** v * cexp(v * jtw_of(params, x)) for x in reps])
+    return (
+        (np.abs(rows(r_cyc, s) - phase * smat) <= tol)
+        & (np.abs(rows(r, s_cyc) - smat / phase) <= tol)
+        & (np.abs(rows(r_cyc, s_cyc) - smat) <= tol)
+    )
 
 
 def ratio_weyl_character_check(
@@ -348,6 +375,34 @@ def w3_fusion_with_label(params: LevelParams, a: OrbitClass, b_label: RSLabel, c
     if b is None:
         raise LabelError(f"{b_label} is not an interior label at ({params.u},{params.v})")
     return w3_fusion(params, a, b, c)
+
+
+class FusionFactors:
+    """The W3 fusion ring at (u, v) as the product of two sl3 rings on the
+    `OrbitTable.fusion_rep` triples: `n_r` (level u-3) and `n_s` (level v-3)
+    over the distinct r- and s-triples, each orbit's `r_index` and `s_index`,
+    all read-only int64.  A cycle step moves the r- and s-trialities by u-3
+    and v-3 (mod 3), so one side of each representative has triality 0,
+    which fusion keeps: w3_fusion(a, b, c) = n_r[ra, rb, rc] * n_s[sa, sb, sc]."""
+
+    def __init__(self, params: LevelParams):
+        table = orbit_table(params)
+        reps = [table.fusion_rep[orb] for orb in table.orbits]
+        r_weights, r_index = _distinct(rep.r for rep in reps)
+        s_weights, s_index = _distinct(rep.s for rep in reps)
+        self.n_r, self.n_s = (
+            _read_only([[[fusion_table(level, x, y).get(z, 0) for z in ws] for y in ws] for x in ws], np.int64)
+            for level, ws in ((params.u - 3, r_weights), (params.v - 3, s_weights))
+        )
+        self.r_index, self.s_index = _read_only(r_index, np.int64), _read_only(s_index, np.int64)
+
+    def fusion_matrix(self, a: int) -> np.ndarray:
+        """N_a[b, c] = w3_fusion of the orbits at positions a, b and c."""
+        r, s = self.r_index, self.s_index
+        return self.n_r[r[a]][np.ix_(r, r)] * self.n_s[s[a]][np.ix_(s, s)]
+
+
+fusion_factors = lru_cache(maxsize=None)(FusionFactors)  # one per (u, v) and process
 
 
 def w3_verlinde(params: LevelParams, a: OrbitClass, b: OrbitClass, c: OrbitClass) -> complex:

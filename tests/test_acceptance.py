@@ -38,16 +38,13 @@ from bpfusion.verlinde import (
     type3_kernel,
     verlinde_oracle,
 )
+from bpfusion.verify import SUITES
 from bpfusion.w3modular import (
-    W3SMatrix,
     ratio_weyl_character_check,
-    sigma_phase_check,
     sum_fund_modules_check,
     symmetric_sum_closed_form_check,
     tensor_sum_check,
-    w3_fusion,
     w3_smatrix_entry,
-    w3_verlinde,
     SingularInputError,
 )
 
@@ -120,29 +117,25 @@ def test_criterion_04_level2_fusion():
 def test_criterion_05_smatrix_properties():
     start = time.perf_counter()
     tol = 1e-9
-    for u, v in SIX_LEVELS:
+    for u, v in SIX_LEVELS + [(7, 5)]:
         p = level_params(u, v)
-        sm = W3SMatrix(p)
-        assert sm.is_symmetric(tol)
-        assert sm.is_unitary(tol)
-        assert sm.squares_to_conjugation(tol)
-        row = sm.orbits[0].rep
+        for name in ("w3-unitarity", "w3-sigma-phase"):
+            ok, detail = SUITES[name](p, tol)
+            assert ok, f"{name} at ({u},{v}): {detail}"
+        row = enumerate_infwts(p)[0].rep
         for s_bad in [(v - 2, -1, 0), (0, -1, v - 2)]:
             assert abs(w3_smatrix_entry(p, lab((u - 3, 0, 0), s_bad), row)) <= tol
-        for a, b in itertools.product(sm.orbits, repeat=2):
-            assert sigma_phase_check(p, a.rep, b.rep, tol)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    report(5, "S-matrix properties at six levels", elapsed, "10 s")
+    report(5, "S-matrix properties at seven levels", elapsed, "10 s")
 
 
 def test_criterion_06_verlinde_equals_factorised_fusion():
     start = time.perf_counter()
-    for u, v in SIX_LEVELS:
+    for u, v in SIX_LEVELS + [(7, 5)]:
         p = level_params(u, v)
-        orbs = enumerate_infwts(p)
-        for a, b, c in itertools.product(orbs, repeat=3):
-            assert abs(w3_verlinde(p, a, b, c) - w3_fusion(p, a, b, c)) < 1e-6
+        ok, detail = SUITES["w3-verlinde"](p, None)
+        assert ok and detail == f"{len(enumerate_infwts(p)) ** 3} triples", f"({u},{v}): {detail}"
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(6, "numeric Verlinde = factorised fusion", elapsed, "30 s")

@@ -36,6 +36,7 @@ from bpfusion.levels import (
     jtw_of,
     level_params,
     orbit_of,
+    orbit_table,
     vacuum_orbit,
 )
 from bpfusion.verlinde import (
@@ -157,14 +158,17 @@ def test_threads_on_a_fresh_level_pair_agree():
     assert not any("_hash" in vars(x) for x in fresh)
     # make sure no thread finds (7, 4) already built
     w3modular._smatrix_at.cache_clear()
+    w3modular.fusion_factors.cache_clear()
     labels._gap_table.cache_clear()
     barrier = threading.Barrier(4, timeout=60)
 
     def work():
         barrier.wait()
         smat = _cached_smatrix(p)
+        factors = w3modular.fusion_factors(p)
         products = [fuse_standard(p, a, b) for a, b in shared_std] + [fuse(p, h, b) for h, b in shared_hw]
-        return smat.matrix, [verlinde_oracle(p, a, b, c) for a, b, c in draws], products
+        arrays = (factors.n_r, factors.n_s, factors.r_index, factors.s_index)
+        return smat.matrix, [verlinde_oracle(p, a, b, c) for a, b, c in draws], products, arrays
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -174,11 +178,16 @@ def test_threads_on_a_fresh_level_pair_agree():
             results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    for matrix, values, products in results:
+    for matrix, values, products, arrays in results:
         assert np.array_equal(matrix, results[0][0])
         assert values == expected
         assert products == expected_std + expected_hw
+        for arr, first in zip(arrays, results[0][3]):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+            assert np.array_equal(arr, first)
     assert np.array_equal(_cached_smatrix(p).matrix, results[0][0])
+    factors = w3modular.fusion_factors(p)
+    assert all(np.array_equal(x, y) for x, y in zip((factors.n_r, factors.n_s), results[0][3]))
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +451,16 @@ def test_dropped_terms_fail_at_the_loop_suites_candidate(monkeypatch, u, v, pick
 def test_a_non_integer_value_fails_the_suite_at_its_candidate(monkeypatch):
     p = level_params(5, 4)
     target = (HalfInt.of(1), Fraction(3, 7))
+    # the suite's classes: flows -2 to 3, each at its four charge shifts, 0 first
+    k = [(ell, shift) for ell in range(-2, 4) for shift in range(4)].index((1, 0))
+    real = verify.oracle_values
 
-    class Perturbed(VerlindeOracle):
-        def values(self, ell, charge):
-            out = super().values(ell, charge)
-            return out + 0.25 if (ell, charge) == target else out
+    def perturbed(smat, base, terms):
+        out = real(smat, base, terms)
+        out[:, k] += 0.25
+        return out
 
-    monkeypatch.setattr(verify, "VerlindeOracle", Perturbed)
+    monkeypatch.setattr(verify, "oracle_values", perturbed)
     with pytest.raises(OracleError) as info:
         verify.suite_fusion_oracle(p)
     orbs = enumerate_infwts(p)
@@ -468,3 +480,74 @@ def test_w3_verlinde_equals_the_loop(u, v):
                 got = w3_verlinde(p, a, b, c)
                 assert abs(got - loop_verlinde(p, a, b, c)) < 1e-12
                 assert round(got.real) == w3_fusion(p, a, b, c)
+
+
+# ---------------------------------------------------------------------------
+# The W3 fusion ring as a product of two sl3 rings
+
+
+@pytest.mark.parametrize("u,v", SMALL_LEVELS, ids=str)
+def test_fusion_factors_equal_w3_fusion_on_every_triple(u, v):
+    p = level_params(u, v)
+    orbs = enumerate_infwts(p)
+    factors = w3modular.fusion_factors(p)
+    assert len(factors.n_r) * len(factors.n_s) == len(orbs)
+    for i, a in enumerate(orbs):
+        assert factors.fusion_matrix(i).tolist() == [[w3_fusion(p, a, b, c) for c in orbs] for b in orbs]
+
+
+def test_fusion_factors_are_read_only_and_cached():
+    p = level_params(7, 5)
+    factors = w3modular.fusion_factors(p)
+    assert factors is w3modular.fusion_factors(level_params(7, 5))
+    for arr in (factors.n_r, factors.n_s, factors.r_index, factors.s_index):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def loop_w3_verlinde_suite(params):
+    """The w3-verlinde suite as it was: one Verlinde sum per triple."""
+    orbits = enumerate_infwts(params)
+    for a in orbits:
+        for b in orbits:
+            for c in orbits:
+                target = w3_fusion(params, a, b, c)
+                numeric = w3_verlinde(params, a, b, c)
+                if abs(numeric - target) > INTEGER_TOL:
+                    return False, f"Verlinde mismatch at ({a},{b},{c}): {numeric} vs {target}"
+    return True, f"{len(orbits) ** 3} triples"
+
+
+@pytest.mark.parametrize("u,v", [(5, 4), (4, 5)])
+def test_w3_verlinde_suite_agrees_with_the_loop_suite(u, v):
+    p = level_params(u, v)
+    assert verify.suite_w3_verlinde(p) == loop_w3_verlinde_suite(p) == (True, f"{len(enumerate_infwts(p)) ** 3} triples")
+
+
+@pytest.mark.parametrize("u,v,side,picks", [(5, 4, "s", (1, 2, 0)), (7, 5, "r", (3, 8, 3)), (6, 5, "s", (5, 5, 1))], ids=str)
+def test_a_perturbed_factor_fails_both_suites_at_the_same_triple(monkeypatch, u, v, side, picks):
+    """One sl3 fusion coefficient raised by 1 on the r- or s-side: the array
+    suite (through fusion_factors) and the loop suite (through w3_fusion)
+    name the same first triple and the same integer."""
+    p = level_params(u, v)
+    table = orbit_table(p)
+    level = u - 3 if side == "r" else v - 3
+    x, y, z = (getattr(table.fusion_rep[table.orbits[i]], side) for i in picks)
+    real = w3modular.fusion_table
+
+    def perturbed(lev, t, tp):
+        out = real(lev, t, tp)
+        return {**out, z: out.get(z, 0) + 1} if (lev, t, tp) == (level, x, y) else out
+
+    monkeypatch.setattr(w3modular, "fusion_table", perturbed)
+    w3modular.fusion_factors.cache_clear()
+    try:
+        got, want = verify.suite_w3_verlinde(p), loop_w3_verlinde_suite(p)
+    finally:
+        w3modular.fusion_factors.cache_clear()
+    assert not got[0] and not want[0]
+    # the numeric value is a float sum taken in another order: compare the
+    # triple and the integer only
+    assert got[1].split(": ")[0] == want[1].split(": ")[0]
+    assert got[1].rsplit(" vs ", 1)[1] == want[1].rsplit(" vs ", 1)[1]

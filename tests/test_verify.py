@@ -18,6 +18,12 @@ def test_fusion_suites_pass_past_the_smallest_models(u, v, name):
     assert ok, f"{name} at ({u},{v}): {detail}"
 
 
+@pytest.mark.parametrize("name", ["w3-sigma-phase", "w3-verlinde"])
+def test_w3_suites_pass_at_8_7(name):
+    ok, detail = SUITES[name](level_params(8, 7), None)
+    assert ok and detail == {"w3-sigma-phase": "11025 pairs", "w3-verlinde": "1157625 triples"}[name], detail
+
+
 @pytest.mark.parametrize("u,v", [(6, 5), (7, 5)])
 def test_fusion_oracle_passes_at_larger_levels(u, v):
     ok, detail = SUITES["fusion-oracle"](level_params(u, v), None)

@@ -2,18 +2,23 @@ import cmath
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bpfusion import verify, w3modular
 from bpfusion.levels import (
     RSLabel,
     enumerate_infwts,
+    jtw_of,
     level_params,
     orbit_of,
+    sigma,
     vacuum_orbit,
     w3_data,
 )
@@ -22,8 +27,9 @@ from bpfusion.w3modular import (
     SingularInputError,
     W3SMatrix,
     complete_symmetric_sum,
+    cexp,
     ratio_weyl_character_check,
-    sigma_phase_check,
+    sigma_phase_checks,
     sum_fund_modules_check,
     symmetric_sum_closed_form_check,
     tensor_sum_check,
@@ -33,6 +39,7 @@ from bpfusion.w3modular import (
 )
 
 LEVELS = [(4, 3), (5, 3), (3, 4), (4, 5), (5, 4), (3, 5)]
+SMALL_LEVELS = [(u, v) for u in range(3, 9) for v in range(3, 9) if gcd(u, v) == 1]
 
 
 @pytest.fixture(scope="module", params=LEVELS, ids=lambda uv: f"{uv[0]}-{uv[1]}")
@@ -148,6 +155,31 @@ class TestWeylAntisymmetry:
         assert abs(got + base) < 1e-9
 
 
+def sigma_phase_check(params, a, b, tol=1e-9):
+    """The scalar reference for `sigma_phase_checks`, on one pair of labels:
+    cycling the r- or s-triple of the row label multiplies the entry by a
+    pure phase fixed by the column label's twisted charge."""
+    v = params.v
+    base = w3_smatrix_entry(params, a, b)
+    phase = (-1) ** v * cexp(v * jtw_of(params, b))
+    r_cycled = RSLabel(sigma(a).r, a.s)
+    s_cycled = RSLabel(a.r, sigma(a).s)
+    ok_r = abs(w3_smatrix_entry(params, r_cycled, b) - phase * base) <= tol
+    ok_s = abs(w3_smatrix_entry(params, s_cycled, b) - base / phase) <= tol
+    ok_both = abs(w3_smatrix_entry(params, sigma(a), b) - base) <= tol
+    return ok_r and ok_s and ok_both
+
+
+def loop_sigma_phase_suite(params, tol=1e-9):
+    """The w3-sigma-phase suite as a loop of scalar checks over orbit pairs."""
+    orbits = enumerate_infwts(params)
+    for a in orbits:
+        for b in orbits:
+            if not sigma_phase_check(params, a.rep, b.rep, tol):
+                return False, f"phase identity failed at ({a}, {b})"
+    return True, f"{len(orbits) ** 2} pairs"
+
+
 class TestPhaseIdentities:
     @pytest.mark.parametrize("u,v", LEVELS)
     def test_sigma_phases(self, u, v):
@@ -155,6 +187,31 @@ class TestPhaseIdentities:
         orbs = enumerate_infwts(p)
         for a, b in itertools.product(orbs, repeat=2):
             assert sigma_phase_check(p, a.rep, b.rep)
+
+    @pytest.mark.parametrize("u,v", SMALL_LEVELS, ids=str)
+    def test_array_checks_equal_the_scalar_loop(self, u, v):
+        p = level_params(u, v)
+        orbs = enumerate_infwts(p)
+        assert sigma_phase_checks(p).tolist() == [[sigma_phase_check(p, a.rep, b.rep) for b in orbs] for a in orbs]
+        assert verify.suite_w3_sigma_phase(p) == (True, f"{len(orbs) ** 2} pairs")
+
+    @pytest.mark.parametrize("u,v,rows", [(5, 4, [3]), (4, 5, [0]), (7, 5, [20, 4, 29]), (6, 5, [11, 17])], ids=str)
+    def test_a_wrong_cycle_fails_both_at_the_same_pair(self, monkeypatch, u, v, rows):
+        """The cycle of some row representatives taken twice: the array suite
+        and the scalar loop both fail, and name the same first pair."""
+        p = level_params(u, v)
+        wrong = {enumerate_infwts(p)[i].rep for i in rows}
+        real = sigma
+
+        def perturbed(label):
+            return real(real(label)) if label in wrong else real(label)
+
+        monkeypatch.setattr(w3modular, "sigma", perturbed)
+        monkeypatch.setattr(sys.modules[__name__], "sigma", perturbed)
+        got = verify.suite_w3_sigma_phase(p)
+        assert not got[0]
+        assert got == loop_sigma_phase_suite(p)
+        assert got[1].startswith(f"phase identity failed at ({enumerate_infwts(p)[min(rows)]}, ")
 
 
 class TestRatioAndTensorSum:
