@@ -158,14 +158,14 @@ def suite_fusion_oracle(params: LevelParams, tol=None, window=2):
     ]
     # the flat (class, orbit) positions of the simple candidates, in order
     checked = np.flatnonzero([simple_candidates(params, charge) for _, charge in classes])
-    # where each term of a closed form lands: its class rows and orbit column
+    # the class rows each closed-form term lands in, keyed by integers (a Fraction hashes slowly)
     rows_of: dict = {}
     for k, (ell, charge) in enumerate(classes):
-        rows_of.setdefault((ell.twice, charge), []).append(k)
+        rows_of.setdefault((ell.twice, charge.numerator, charge.denominator), []).append(k)
     position = orbit_table(params).position
     inputs_a, inputs_b = ([standard_label(j, orb, 0) for orb in orbits] for j in js)
     oracle = VerlindeOracle(params, inputs_a[0], inputs_b[0])
-    terms = [oracle._term(ell.twice, charge) for ell, charge in classes]
+    terms = [oracle.term(ell.twice, charge) for ell, charge in classes]
     smat = _cached_smatrix(params)
 
     def candidate_at(i):
@@ -177,7 +177,7 @@ def suite_fusion_oracle(params: LevelParams, tol=None, window=2):
         want = np.zeros(values.shape, dtype=np.int64)
         for want_b, b in zip(want, inputs_b):
             for label, coeff in fuse_standard(params, a, b).items():
-                for k in rows_of.get((label.ell.twice, label.j), ()):
+                for k in rows_of.get((label.ell.twice, label.j.numerator, label.j.denominator), ()):
                     want_b[k * n + position[label.orbit]] += coeff
         bad = ~(np.abs(values[:, checked] - want[:, checked]) <= INTEGER_TOL)  # a NaN fails too
         if bad.any():

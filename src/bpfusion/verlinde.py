@@ -466,7 +466,7 @@ class VerlindeOracle:
         rows = smat.matrix
         self._base = smat.vacuum_inverse * rows[smat.index(orb_a)] * rows[smat.index(orb_b)]
 
-    def _term(self, ell_twice: int, charge: Fraction):
+    def term(self, ell_twice: int, charge: Fraction):
         """The term of D's expansion that the class (ell, charge) extracts:
         0 for weight 1, +1 or -1 for -sum e(jtw) or its conjugate, and None
         when every coefficient of the class is 0."""
@@ -490,7 +490,7 @@ class VerlindeOracle:
         """The unrounded oracle values of standard_label(charge, c, ell) for
         every orbit c of `enumerate_infwts`; `charge` lies in [0, 1), as a
         standard label stores it.  Nonsimple candidates' values mean nothing."""
-        return oracle_values(self._smat, self._base[None], [self._term(ell.twice, charge)])[0, 0]
+        return oracle_values(self._smat, self._base[None], [self.term(ell.twice, charge)])[0, 0]
 
 
 def simple_candidates(params: LevelParams, charge) -> np.ndarray:
