@@ -1,5 +1,6 @@
 """The S-matrix built from its sl3 factorisation, the per-level cache it
-lives in, and the Verlinde sums read off that cache.
+lives in, the Verlinde sums read off that cache, and the W3 fusion ring
+as the product of two sl3 fusion rings.
 
 The factorised builder must reproduce the scalar `w3_smatrix_entry` bit
 for bit, and the vectorised oracle must agree with the loop over orbits
