@@ -6,7 +6,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import verify as verify_mod
 from .labels import (
@@ -89,10 +88,6 @@ def _print_table(payload, indent=0):
         print(f"{pad}{payload}")
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def cmd_list_modules(params: LevelParams, args) -> dict:
     rows = []
     for lab in enumerate_surv(params):
@@ -100,8 +95,8 @@ def cmd_list_modules(params: LevelParams, args) -> dict:
         rows.append(
             {
                 "label": str(lab),
-                "j": _frac(data.j),
-                "delta": _frac(data.delta),
+                "j": str(data.j),
+                "delta": str(data.delta),
                 "type": orbit_type(params, lab),
             }
         )
@@ -111,15 +106,15 @@ def cmd_list_modules(params: LevelParams, args) -> dict:
         families.append(
             {
                 "orbit": str(orb),
-                "w3_delta": _frac(wd.delta),
-                "gap_charges": sorted(_frac(j) for j in gap_charges(params, orb)),
+                "w3_delta": str(wd.delta),
+                "gap_charges": sorted(str(j) for j in gap_charges(params, orb)),
             }
         )
     return {
         "u": params.u,
         "v": params.v,
-        "k": _frac(params.k),
-        "c_bp": _frac(params.c_bp),
+        "k": str(params.k),
+        "c_bp": str(params.c_bp),
         "highest_weight": rows,
         "standard_families": families,
     }
@@ -137,8 +132,8 @@ def cmd_orbit(params: LevelParams, args) -> dict:
     return {
         "orbit": str(orb),
         "members": [str(m) for m in orb.members],
-        "w3_delta": _frac(wd.delta),
-        "w3_w_rational": _frac(wd.w_rational),
+        "w3_delta": str(wd.delta),
+        "w3_w_rational": str(wd.w_rational),
         "w3_w": wd.w_float(params),
     }
 
@@ -166,7 +161,7 @@ def cmd_kernel_bp(params: LevelParams, args) -> dict:
         "b": str(b),
         "value": {"re": entry.value.real, "im": entry.value.imag},
         "w3_factor": {"re": entry.w3_factor.real, "im": entry.w3_factor.imag},
-        "phase_exponent": _frac(entry.phase_exponent),
+        "phase_exponent": str(entry.phase_exponent),
         "denominator": None if entry.denominator is None else entry.denominator.real,
     }
 
@@ -193,7 +188,7 @@ def cmd_simple_currents(params: LevelParams, args) -> dict:
     currents = simple_currents(params)
     payload = {
         "currents": [
-            {"label": str(lab), "j": _frac(j), "delta": _frac(delta)} for lab, j, delta in currents
+            {"label": str(lab), "j": str(j), "delta": str(delta)} for lab, j, delta in currents
         ]
     }
     if not currents:

@@ -1,10 +1,11 @@
 """Finite rank-2 representation combinatorics and the affine fusion ring.
 
-Weights are pairs of Dynkin labels.  Multiplicities come from the
-Freudenthal recursion, tensor coefficients from exact character-ring
-multiplication, and affine fusion coefficients from alcove folding of
-the tensor decomposition.  The three memoised tables are read-only
-mappings, shared by every caller.
+Weights are pairs of Dynkin labels.  Weight multiplicities come from the
+Freudenthal recursion.  Tensor and affine fusion coefficients both come
+from one integer count of invariants in a triple tensor product, the
+closed form of Begin, Mathieu and Walton (Mod. Phys. Lett. A 7 (1992)):
+at level k the count is capped by k.  The three memoised tables are
+read-only mappings, shared by every caller.
 """
 from __future__ import annotations
 
@@ -155,31 +156,36 @@ def weyl_character_quotient(t: Weight2, xi) -> complex:
     return num / den
 
 
+def _coupling(level: int | None, x: Weight2, y: Weight2, z: Weight2) -> int:
+    """Number of invariants in L(x) (x) L(y) (x) L(z), at an affine level or,
+    for level None, in the finite tensor product: the Begin-Mathieu-Walton
+    closed form, max(0, min(a, b, level) - low + 1)."""
+    s1, s2 = x[0] + y[0] + z[0], x[1] + y[1] + z[1]
+    if (2 * s1 + s2) % 3:
+        return 0
+    a, b = (2 * s1 + s2) // 3, (s1 + 2 * s2) // 3
+    low = max(sum(x), sum(y), sum(z), a - min(x[0], y[0], z[0]), b - min(x[1], y[1], z[1]))
+    high = min(a, b) if level is None else min(a, b, level)
+    return max(0, high - low + 1)
+
+
+def _constituents(level: int | None, x: Weight2, y: Weight2, top: int):
+    """(mu, n) for each dominant mu of height at most `top` that couples
+    n > 0 times to x and y: mu enters `_coupling` conjugated."""
+    for p in range(top + 1):
+        for q in range(top + 1 - p):
+            n = _coupling(level, x, y, (q, p))
+            if n:
+                yield (p, q), n
+
+
 @lru_cache(maxsize=None)
 def tensor_decompose(t: Weight2, tp: Weight2) -> MappingProxyType:
     """Decomposition of the tensor product of two simple modules."""
-    conv: dict[Weight2, int] = {}
-    wa = weight_multiplicities(t)
-    wb = weight_multiplicities(tp)
-    for mu, ma in wa.items():
-        for nu, mb in wb.items():
-            key = (mu[0] + nu[0], mu[1] + nu[1])
-            conv[key] = conv.get(key, 0) + ma * mb
-    out: dict[Weight2, int] = {}
-    while conv:
-        height = max(ip(mu, RHO) for mu, c in conv.items() if c)
-        tops = [mu for mu, c in conv.items() if c and ip(mu, RHO) == height]
-        for mu in tops:
-            c = conv[mu]
-            assert dominant(mu) and c > 0, (t, tp, mu, c)
-            out[mu] = c
-            for nu, m in weight_multiplicities(mu).items():
-                key = conv[nu] - c * m
-                if key:
-                    conv[nu] = key
-                else:
-                    del conv[nu]
-    return MappingProxyType(out)
+    for x in (t, tp):
+        if not dominant(x):
+            raise ValueError(f"highest weight must be dominant, got {x}")
+    return MappingProxyType(dict(_constituents(None, t, tp, sum(t) + sum(tp))))
 
 
 def tensor_coeff(t: Weight2, tp: Weight2, tpp: Weight2) -> int:
@@ -195,37 +201,8 @@ def integrable(level: int, t: Affine3) -> bool:
     return all(x >= 0 for x in t) and sum(t) == level
 
 
-def finite_part(t: Affine3) -> Weight2:
-    return (t[1], t[2])
-
-
-def affinise(level: int, w: Weight2) -> Affine3:
-    return (level - w[0] - w[1], w[0], w[1])
-
-
 def sigma_affine(t: Affine3) -> Affine3:
     return (t[2], t[0], t[1])
-
-
-def _fold_alcove(level: int, w: Weight2) -> tuple[Weight2 | None, int]:
-    """Fold the shifted weight into the fundamental alcove; None on a wall."""
-    big = level + 3
-    a, b = w[0] + 1, w[1] + 1
-    det = 1
-    for _ in range(100 * (abs(a) + abs(b) + big + 1)):
-        c = big - a - b
-        if a == 0 or b == 0 or c == 0:
-            return None, 0
-        if a < 0:
-            a, b = -a, a + b
-        elif b < 0:
-            a, b = a + b, -b
-        elif c < 0:
-            a, b = big - b, big - a
-        else:
-            return (a - 1, b - 1), det
-        det = -det
-    raise RuntimeError("alcove folding did not terminate")
 
 
 @lru_cache(maxsize=None)
@@ -234,23 +211,16 @@ def fusion_table(level: int, t: Affine3, tp: Affine3) -> MappingProxyType:
     for x in (t, tp):
         if not integrable(level, x):
             raise ValueError(f"{x} is not integrable at level {level}")
-    out: dict[Affine3, int] = {}
-    for mu, c in tensor_decompose(finite_part(t), finite_part(tp)).items():
-        folded, det = _fold_alcove(level, mu)
-        if folded is None:
-            continue
-        key = affinise(level, folded)
-        val = out.get(key, 0) + det * c
-        if val:
-            out[key] = val
-        else:
-            out.pop(key, None)
-    assert all(c > 0 for c in out.values())
-    return MappingProxyType(out)
+    return MappingProxyType(
+        {(level - p - q, p, q): n for (p, q), n in _constituents(level, t[1:], tp[1:], level)}
+    )
 
 
 def kac_walton(level: int, t: Affine3, tp: Affine3, tpp: Affine3) -> int:
-    """Affine fusion coefficient as an alternating sum of tensor multiplicities."""
+    """Affine fusion coefficient of three integrable weights, read off
+    `fusion_table`.  It equals the Kac-Walton alternating sum of tensor
+    multiplicities over the affine Weyl group, which `_coupling` sums in
+    closed form."""
     if not integrable(level, tpp):
         raise ValueError(f"{tpp} is not integrable at level {level}")
     return fusion_table(level, t, tp).get(tpp, 0)

@@ -46,7 +46,6 @@ from .verlinde import (
 from .w3modular import (
     DEFAULT_TOL,
     INTEGER_TOL,
-    W3SMatrix,
     _cached_smatrix,
     fusion_factors,
     ratio_weyl_character_check,
@@ -75,7 +74,7 @@ def suite_levels(params: LevelParams, tol=None):
 
 def suite_w3_unitarity(params: LevelParams, tol=None):
     tol = _tol(tol)
-    smat = W3SMatrix(params)
+    smat = _cached_smatrix(params)
     checks = {
         "symmetric": smat.is_symmetric(tol),
         "unitary": smat.is_unitary(tol),

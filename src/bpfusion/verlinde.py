@@ -294,6 +294,8 @@ def fuse_general(params: LevelParams, a: HWLabel, b, depth: int | None = None) -
     v = params.v
     if depth is None:
         depth = 9 * v
+    if depth < 1:
+        raise LabelError("depth must be >= 1")
     # resolutions live in the integral-flow sector; pull half units out front
     half = HalfInt.of(HALF)
     shift_back = HalfInt.of(0)
@@ -353,6 +355,8 @@ def fuse(params: LevelParams, a, b, depth: int | None = None) -> FormalSum:
     for x in (a, b):
         if not isinstance(x, (HWLabel, StandardLabel)):
             raise LabelError(f"fusion takes highest-weight or standard labels, not {x}")
+    if depth is not None and depth < 1:
+        raise LabelError("depth must be >= 1")
     if isinstance(a, StandardLabel) and isinstance(b, StandardLabel):
         return fuse_standard(params, a, b)
     if isinstance(a, StandardLabel) or isinstance(b, StandardLabel):

@@ -173,10 +173,7 @@ class W3SMatrix:
         )
 
     def index(self, orbit: OrbitClass) -> int:
-        try:
-            return orbit_table(self.params).position[orbit]
-        except KeyError:
-            raise LabelError(f"{orbit} is not an orbit at ({self.params.u},{self.params.v})") from None
+        return _position(self.params, orbit)
 
     def entry(self, a: OrbitClass, b: OrbitClass) -> complex:
         return self.matrix[self.index(a), self.index(b)]
@@ -328,41 +325,6 @@ def sum_fund_modules_check(
 # Fusion coefficients
 
 
-def _fusion_reps(params: LevelParams, *orbits: OrbitClass) -> list[RSLabel]:
-    reps = orbit_table(params).fusion_rep
-    try:
-        return [reps[orb] for orb in orbits]
-    except KeyError as exc:
-        raise LabelError(f"{exc.args[0]} is not an orbit at ({params.u},{params.v})") from None
-
-
-def w3_fusion(params: LevelParams, a: OrbitClass, b: OrbitClass, c: OrbitClass) -> int:
-    """Fusion multiplicity of three orbits, as a product of two affine
-    fusion coefficients evaluated on root-lattice-aligned representatives
-    (`levels.OrbitTable.fusion_rep`).  The coefficients are read off the
-    two cached sl3 fusion tables: every representative is integrable, so
-    `kac_walton`'s check of the third weight would always pass."""
-    ra, rb, rc = _fusion_reps(params, a, b, c)
-    n_r = fusion_table(params.u - 3, ra.r, rb.r).get(rc.r, 0)
-    if n_r == 0:
-        return 0
-    return n_r * fusion_table(params.v - 3, ra.s, rb.s).get(rc.s, 0)
-
-
-def w3_fusion_support(params: LevelParams, a: OrbitClass, b: OrbitClass) -> list[OrbitClass]:
-    """The orbits c where w3_fusion(a, b, c) can be nonzero, each once.
-
-    On the representatives w3_fusion picks, the product is the level-(u-3)
-    fusion table of the r-triples times the level-(v-3) table of the
-    s-triples.  Each pair (r''; s'') drawn from the two tables is the picked
-    representative of its own orbit, so distinct pairs give distinct orbits.
-    """
-    ra, rb = _fusion_reps(params, a, b)
-    index = orbit_index(params)
-    s_side = fusion_table(params.v - 3, ra.s, rb.s)
-    return [index[RSLabel(r, s)] for r in fusion_table(params.u - 3, ra.r, rb.r) for s in s_side]
-
-
 def w3_fusion_with_label(params: LevelParams, a: OrbitClass, b_label: RSLabel, c: OrbitClass) -> int:
     """Fusion against an explicit (r; s) label whose s-triple may sit on a
     shifted alcove boundary; boundary labels have vanishing S-rows and
@@ -402,7 +364,43 @@ class FusionFactors:
         return self.n_r[r[a]][np.ix_(r, r)] * self.n_s[s[a]][np.ix_(s, s)]
 
 
-fusion_factors = lru_cache(maxsize=None)(FusionFactors)  # one per (u, v) and process
+@lru_cache(maxsize=None)
+def _factors_at(u: int, v: int) -> FusionFactors:
+    return FusionFactors(level_params(u, v))
+
+
+def fusion_factors(params: LevelParams) -> FusionFactors:
+    """The fusion factors at (u, v), built once per process and cached on the
+    two ints, as `_smatrix_at` is: a `LevelParams` key would hash every field
+    on each of the many `w3_fusion` calls of one fusion."""
+    return _factors_at(params.u, params.v)
+
+
+def _position(params: LevelParams, orbit: OrbitClass) -> int:
+    try:
+        return orbit_table(params).position[orbit]
+    except KeyError:
+        raise LabelError(f"{orbit} is not an orbit at ({params.u},{params.v})") from None
+
+
+def w3_fusion(params: LevelParams, a: OrbitClass, b: OrbitClass, c: OrbitClass) -> int:
+    """Fusion multiplicity of three orbits, n_r[ra, rb, rc] * n_s[sa, sb, sc]
+    read off `fusion_factors` at the orbits' positions."""
+    f = fusion_factors(params)
+    ia, ib, ic = _position(params, a), _position(params, b), _position(params, c)
+    r, s = f.r_index, f.s_index
+    return int(f.n_r[r[ia], r[ib], r[ic]] * f.n_s[s[ia], s[ib], s[ic]])
+
+
+def w3_fusion_support(params: LevelParams, a: OrbitClass, b: OrbitClass) -> list[OrbitClass]:
+    """The orbits c where w3_fusion(a, b, c) is nonzero, each once, in table
+    order: the nonzero entries of the r-row times the s-row of the factors."""
+    f = fusion_factors(params)
+    ia, ib = _position(params, a), _position(params, b)
+    r, s = f.r_index, f.s_index
+    row = f.n_r[r[ia], r[ib]][r] * f.n_s[s[ia], s[ib]][s]
+    orbits = orbit_table(params).orbits
+    return [orbits[i] for i in np.flatnonzero(row).tolist()]
 
 
 def w3_verlinde(params: LevelParams, a: OrbitClass, b: OrbitClass, c: OrbitClass) -> complex:

@@ -117,6 +117,13 @@ class TestErrors:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: depth must be >= 1") and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("depth", ["0", "-100"])
+    def test_fuse_rejects_a_depth_below_one(self, capsys, depth):
+        code = main(["fuse", "5", "4", "I[0,2,0;1,0,0]", "R~[1/7;[[0,0,2;0,0,1]]]^0", "--depth", depth])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: depth must be >= 1") and "Traceback" not in captured.err
+
     def test_unwritable_out_file(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
         code = main(["smatrix-w3", "4", "3", "--out", str(target)])

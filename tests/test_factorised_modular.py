@@ -7,6 +7,7 @@ for bit, and the vectorised oracle must agree with the loop over orbits
 it replaced (kept below as `loop_oracle`).
 """
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +17,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+import fusion_reference as reference
 from bpfusion import labels, verify, w3modular
 from bpfusion.labels import (
     FormalSum,
@@ -159,7 +161,7 @@ def test_threads_on_a_fresh_level_pair_agree():
     assert not any("_hash" in vars(x) for x in fresh)
     # make sure no thread finds (7, 4) already built
     w3modular._smatrix_at.cache_clear()
-    w3modular.fusion_factors.cache_clear()
+    w3modular._factors_at.cache_clear()
     labels._gap_table.cache_clear()
     barrier = threading.Barrier(4, timeout=60)
 
@@ -494,7 +496,34 @@ def test_fusion_factors_equal_w3_fusion_on_every_triple(u, v):
     factors = w3modular.fusion_factors(p)
     assert len(factors.n_r) * len(factors.n_s) == len(orbs)
     for i, a in enumerate(orbs):
-        assert factors.fusion_matrix(i).tolist() == [[w3_fusion(p, a, b, c) for c in orbs] for b in orbs]
+        assert factors.fusion_matrix(i).tolist() == [[reference.w3_fusion(p, a, b, c) for c in orbs] for b in orbs]
+
+
+@pytest.mark.parametrize("u,v", SMALL_LEVELS, ids=str)
+def test_w3_fusion_and_its_support_match_the_per_representative_reference(u, v):
+    """The support, in table order, and every coefficient on it, against the
+    two affine tables read at the fusion representatives."""
+    p = level_params(u, v)
+    orbs, position = enumerate_infwts(p), orbit_table(p).position
+    for a in orbs:
+        for b in orbs:
+            support = w3modular.w3_fusion_support(p, a, b)
+            assert support == sorted(reference.w3_fusion_support(p, a, b), key=position.get)
+            got = [w3_fusion(p, a, b, c) for c in support]
+            assert got == [reference.w3_fusion(p, a, b, c) for c in support]
+            assert all(type(n) is int and n > 0 for n in got)
+
+
+def test_w3_fusion_rejects_a_foreign_orbit():
+    p, other = level_params(7, 5), enumerate_infwts(level_params(5, 4))[1]
+    orb = enumerate_infwts(p)[0]
+    message = re.escape(f"{other} is not an orbit at (7,5)")
+    with pytest.raises(LabelError, match=message):
+        w3_fusion(p, orb, orb, other)
+    with pytest.raises(LabelError, match=message):
+        w3modular.w3_fusion_support(p, other, orb)
+    with pytest.raises(LabelError, match=message):
+        reference.w3_fusion(p, orb, orb, other)
 
 
 def test_fusion_factors_are_read_only_and_cached():
@@ -508,12 +537,13 @@ def test_fusion_factors_are_read_only_and_cached():
 
 
 def loop_w3_verlinde_suite(params):
-    """The w3-verlinde suite as it was: one Verlinde sum per triple."""
+    """The w3-verlinde suite as it was: one Verlinde sum per triple, against
+    the per-representative reference fusion."""
     orbits = enumerate_infwts(params)
     for a in orbits:
         for b in orbits:
             for c in orbits:
-                target = w3_fusion(params, a, b, c)
+                target = reference.w3_fusion(params, a, b, c)
                 numeric = w3_verlinde(params, a, b, c)
                 if abs(numeric - target) > INTEGER_TOL:
                     return False, f"Verlinde mismatch at ({a},{b},{c}): {numeric} vs {target}"
@@ -529,7 +559,7 @@ def test_w3_verlinde_suite_agrees_with_the_loop_suite(u, v):
 @pytest.mark.parametrize("u,v,side,picks", [(5, 4, "s", (1, 2, 0)), (7, 5, "r", (3, 8, 3)), (6, 5, "s", (5, 5, 1))], ids=str)
 def test_a_perturbed_factor_fails_both_suites_at_the_same_triple(monkeypatch, u, v, side, picks):
     """One sl3 fusion coefficient raised by 1 on the r- or s-side: the array
-    suite (through fusion_factors) and the loop suite (through w3_fusion)
+    suite (through fusion_factors) and the loop suite (through the reference w3_fusion)
     name the same first triple and the same integer."""
     p = level_params(u, v)
     table = orbit_table(p)
@@ -542,11 +572,11 @@ def test_a_perturbed_factor_fails_both_suites_at_the_same_triple(monkeypatch, u,
         return {**out, z: out.get(z, 0) + 1} if (lev, t, tp) == (level, x, y) else out
 
     monkeypatch.setattr(w3modular, "fusion_table", perturbed)
-    w3modular.fusion_factors.cache_clear()
+    w3modular._factors_at.cache_clear()
     try:
         got, want = verify.suite_w3_verlinde(p), loop_w3_verlinde_suite(p)
     finally:
-        w3modular.fusion_factors.cache_clear()
+        w3modular._factors_at.cache_clear()
     assert not got[0] and not want[0]
     # the numeric value is a float sum taken in another order: compare the
     # triple and the integer only

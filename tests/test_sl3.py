@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusion_reference import fold_alcove, fold_fusion_table, peel_tensor
 from bpfusion.sl3 import (
     WEYL,
     fusion_table,
@@ -109,6 +111,10 @@ class TestTensor:
         dec = tensor_decompose(t, tp)
         assert sum(n * rep_dimension(mu) for mu, n in dec.items()) == rep_dimension(t) * rep_dimension(tp)
 
+    def test_rejects_non_dominant(self):
+        with pytest.raises(ValueError):
+            tensor_decompose((-1, 2), (0, 0))
+
     def test_coeff_accessor(self):
         assert tensor_coeff((1, 1), (1, 1), (1, 1)) == 2
         assert tensor_coeff((1, 1), (1, 1), (2, 0)) == 0
@@ -121,12 +127,10 @@ class TestKacWalton:
 
     def test_boundary_weights_are_killed(self):
         # the [3,0] and [0,3] constituents sit on a wall at level 2
-        from bpfusion.sl3 import _fold_alcove
-
-        assert _fold_alcove(2, (3, 0)) == (None, 0)
-        assert _fold_alcove(2, (0, 3)) == (None, 0)
+        assert fold_alcove(2, (3, 0)) == (None, 0)
+        assert fold_alcove(2, (0, 3)) == (None, 0)
         # and [2,2] reflects onto [1,1] with a sign
-        assert _fold_alcove(2, (2, 2)) == ((1, 1), -1)
+        assert fold_alcove(2, (2, 2)) == ((1, 1), -1)
 
     def test_vacuum_is_identity(self):
         for level in (1, 2, 3):
@@ -181,6 +185,30 @@ class TestKacWalton:
             kac_walton(2, (3, 0, 0), (0, 1, 1), (0, 1, 1))
         with pytest.raises(ValueError):
             kac_walton(2, (0, 1, 1), (0, 1, 1), (-1, 2, 1))
+
+
+class TestClosedFormAgainstKacWalton:
+    """The closed-form coupling against the algorithms it replaced: the
+    character-ring peel and the Kac-Walton alcove fold."""
+
+    @pytest.mark.parametrize("level", range(7))
+    def test_fusion_table_on_every_pair(self, level):
+        ws = weights(level)
+        for t, tp in itertools.product(ws, repeat=2):
+            assert fusion_table(level, t, tp) == fold_fusion_table(level, t, tp), (t, tp)
+
+    @pytest.mark.parametrize("level", [7, 8])
+    def test_fusion_table_on_a_seeded_sample(self, level):
+        rng = random.Random(level)
+        ws = weights(level)
+        for _ in range(120):
+            t, tp = rng.choice(ws), rng.choice(ws)
+            assert fusion_table(level, t, tp) == fold_fusion_table(level, t, tp), (t, tp)
+
+    def test_tensor_decompose_on_every_pair_up_to_5(self):
+        labels = list(itertools.product(range(6), repeat=2))
+        for t, tp in itertools.product(labels, repeat=2):
+            assert tensor_decompose(t, tp) == peel_tensor(t, tp), (t, tp)
 
 
 @pytest.mark.parametrize(

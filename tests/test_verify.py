@@ -1,5 +1,6 @@
 import pytest
 
+from bpfusion import w3modular
 from bpfusion.levels import level_params
 from bpfusion.verify import SUITES
 
@@ -34,3 +35,18 @@ def test_fusion_oracle_passes_at_larger_levels(u, v):
 def test_telescoping_passes_at_larger_levels(u, v):
     ok, detail = SUITES["telescoping"](level_params(u, v), None)
     assert ok, f"telescoping at ({u},{v}): {detail}"
+
+
+def test_unitarity_suite_reads_the_cached_smatrix(monkeypatch):
+    p = level_params(5, 4)
+    w3modular._cached_smatrix(p)
+    builds = []
+    real = w3modular.W3SMatrix.__init__
+
+    def counted(self, params):
+        builds.append(params)
+        real(self, params)
+
+    monkeypatch.setattr(w3modular.W3SMatrix, "__init__", counted)
+    assert SUITES["w3-unitarity"](p, None) == (True, "symmetric: True, unitary: True, square=conjugation: True")
+    assert builds == []

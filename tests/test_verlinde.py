@@ -529,6 +529,20 @@ class TestGeneralFusion:
                 fuse_general(p, t2a, t2b, depth=depth)
         assert fuse_general(p, t2a, t2b, depth=14) == full
 
+    @pytest.mark.parametrize("depth", [0, -100])
+    def test_depth_below_one_is_rejected(self, depth):
+        p = level_params(5, 4)
+        a = hw_label(p, lab((0, 2, 0), (1, 0, 0)), 0)
+        b = standard_label(Fraction(1, 7), orbit_of(p, lab((0, 0, 2), (0, 0, 1))), 0)
+        for call in (
+            lambda: fuse(p, a, b, depth),
+            lambda: fuse_general(p, a, b, depth),
+            lambda: fuse_general(p, a, a, depth),
+            lambda: fuse(p, b, b, depth),
+        ):
+            with pytest.raises(LabelError, match="depth must be >= 1"):
+                call()
+
     def test_not_stabilised_error_names_what_failed(self):
         from bpfusion.verlinde import NotStabilisedError
 
