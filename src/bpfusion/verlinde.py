@@ -8,9 +8,10 @@ are S-matrix values, which never feed the closed-form fusion path.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,9 +35,12 @@ from .levels import (
     LevelParams,
     OrbitClass,
     RSLabel,
+    _enumerate_surv,
+    check_surv,
     hw_data,
     j_of,
     jtw_of,
+    level_params,
     orbit_index,
     orbit_of,
     orbit_table,
@@ -47,6 +51,7 @@ from .w3modular import (
     INTEGER_TOL,
     POLE_TOL,
     _cached_smatrix,
+    _position,
     cexp,
     w3_fusion,
     w3_fusion_support,
@@ -177,12 +182,14 @@ STANDARD_CLASSES = ((2, -4), (-1, 2), (1, -2), (0, 0))
 OMEGA_SHIFTS = ((1, -1, 0), (0, 1, -1), (-1, 0, 1))  # of an s-label, by sign -1 (down) or +1 (up)
 
 
-def _standard_rows(params: LevelParams, a: OrbitClass, b: OrbitClass) -> tuple:
-    """The W3 part of `fuse_standard`: one row of (orbit position, coefficient)
-    pairs per entry of STANDARD_CLASSES.  The three shifts of each direction
-    are merged into one row; a shifted label with a -1 entry sits on the
-    alcove boundary, is no key of the orbit index, and contributes nothing."""
-    position, index, rep = orbit_table(params).position, orbit_index(params), b.rep
+def _standard_rows(params: LevelParams, ia: int, ib: int) -> tuple:
+    """The W3 part of `fuse_standard` for the orbits at positions ia and ib:
+    one row of (orbit position, coefficient) pairs per entry of
+    STANDARD_CLASSES.  The three shifts of each direction are merged into
+    one row; a shifted label with a -1 entry sits on the alcove boundary, is
+    no key of the orbit index, and contributes nothing."""
+    table, index = orbit_table(params), orbit_index(params)
+    position, a, rep = table.position, table.orbits[ia], table.orbits[ib].rep
 
     def row(sign: int) -> tuple:
         out: dict[int, int] = {}
@@ -196,40 +203,64 @@ def _standard_rows(params: LevelParams, a: OrbitClass, b: OrbitClass) -> tuple:
     return (plain, plain, row(-1), row(+1))
 
 
+@lru_cache(maxsize=None)
+def _rows_at(u: int, v: int, ia: int, ib: int) -> tuple:
+    """`_standard_rows` at (u, v), built once per process and keyed on ints."""
+    return _standard_rows(level_params(u, v), ia, ib)
+
+
+@lru_cache(maxsize=None)
+def _resolution_ints(u: int, v: int, lam: int, depth: int) -> tuple:
+    """resolution(params, I[lam]^0, depth), lam a position in `enumerate_surv`,
+    built once per process as (twice flow, charge numerator over 6v, orbit
+    position, coefficient) tuples, one per term in the resolution's order."""
+    params = level_params(u, v)
+    position = orbit_table(params).position
+    res = resolution(params, HWLabel(HalfInt(0), _enumerate_surv(u, v)[lam]), depth)
+    return tuple(
+        (x.ell.twice, x.j.numerator * 6 * v // x.j.denominator, position[x.orbit], c) for x, c in res.items()
+    )
+
+
 def fuse_standard(params: LevelParams, a: StandardLabel, b: StandardLabel) -> FormalSum:
     """Grothendieck fusion of two standard labels (closed form), read off
     `_standard_rows`; each of the four (flow, charge) pairs is made once."""
     kappa, orbits = params.kappa, orbit_table(params).orbits
     ell, jj = a.ell + b.ell, a.j + b.j
+    rows = _standard_rows(params, _position(params, a.orbit), _position(params, b.orbit))
     out = FormalSum()
-    for (step, mult), row in zip(STANDARD_CLASSES, _standard_rows(params, a.orbit, b.orbit)):
+    for (step, mult), row in zip(STANDARD_CLASSES, rows):
         flow, charge = ell + step, _mod1(jj + mult * kappa)
         for pos, n in row:
             out._add(StandardLabel(flow, charge, orbits[pos]), n)
     return out
 
 
-def _resolved_product(params: LevelParams, res_b: FormalSum, resolve_a) -> FormalSum:
+def _resolved_product(params: LevelParams, a: HWLabel, res_b: FormalSum, depth_at) -> FormalSum:
     """The sum of cx * cy * fuse_standard(x, y) over the terms y, cy of res_b
-    and x, cx of resolve_a(f), f the lowest flow at which y's charge and
-    orbit occur in res_b; flowed copies of one such term share a product.
-    All charges lie in (1/D)Z, D the lcm of 6v (a resolution's charges) and
-    res_b's denominators, so a term is an integer key (twice its flow, charge
-    numerator over D mod D, orbit position); only surviving keys become labels."""
-    den = math.lcm(6 * params.v, *(y.j.denominator for y, _ in res_b.items()))
+    and x, cx of resolution(params, a, depth_at(f)), f the lowest flow at
+    which y's charge and orbit occur in res_b; flowed copies of one such term
+    share a product.  All charges lie in (1/D)Z, D the lcm of 6v (a
+    resolution's charges) and res_b's denominators, so a term is an integer
+    key (twice its flow, charge numerator over D mod D, orbit position);
+    only surviving keys become labels.  The resolutions and the W3 rows come
+    from process-wide tables (`_resolution_ints`, `_rows_at`)."""
+    u, v = params.u, params.v
+    den = math.lcm(6 * v, *(y.j.denominator for y, _ in res_b.items()))
+    scale = den // (6 * v)
     classes = [(2 * step, mult * (params.kappa * den).numerator) for step, mult in STANDARD_CLASSES]
-    rows = cache(lambda orb_a, orb_b: _standard_rows(params, orb_a, orb_b))
+    lam, a_twice = bisect_left(_enumerate_surv(u, v), check_surv(params, a.lam)), a.ell.twice
     placed: dict = {}  # (charge, orbit) of a term of res_b -> [(twice its flow, coeff)]
     for y, cy in res_b.items():
         placed.setdefault((y.j, y.orbit), []).append((y.ell.twice, cy))
     total: dict[tuple[int, int, int], int] = {}
     for (j, orb_b), copies in placed.items():
-        num_b = j.numerator * (den // j.denominator)
+        num_b, ib = j.numerator * (den // j.denominator), _position(params, orb_b)
         part: dict[tuple[int, int, int], int] = {}
-        for x, cx in resolve_a(min(t for t, _ in copies) // 2).items():
-            num = x.j.numerator * (den // x.j.denominator) + num_b
-            for (dt, dn), row in zip(classes, rows(x.orbit, orb_b)):
-                t, n = x.ell.twice + dt, (num + dn) % den
+        for tx, nx, ia, cx in _resolution_ints(u, v, lam, depth_at(min(t for t, _ in copies) // 2)):
+            tx, num = tx + a_twice, nx * scale + num_b
+            for (dt, dn), row in zip(classes, _rows_at(u, v, ia, ib)):
+                t, n = tx + dt, (num + dn) % den
                 for pos, c in row:
                     key = (t, n, pos)
                     part[key] = part.get(key, 0) + cx * c
@@ -320,9 +351,7 @@ def fuse_general(params: LevelParams, a: HWLabel, b, depth: int | None = None) -
         res_b = FormalSum.lone(b)
     else:
         res_b = resolution(params, b, top2 - flow_a - flow_b + margin)
-    product = _resolved_product(
-        params, res_b, lambda flow: resolution(params, a, max(top2 - flow - flow_a + margin, 1))
-    )
+    product = _resolved_product(params, a, res_b, lambda flow: max(top2 - flow - flow_a + margin, 1))
 
     def settle(top: int) -> FormalSum:
         raw = product.restrict(lambda lab: lab.ell.twice <= 2 * top)

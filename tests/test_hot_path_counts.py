@@ -6,7 +6,9 @@ label built.  W3 fusion coefficients are read off the two sl3 fusion
 tables, so the Kac-Walton entry point, which re-checks integrability on
 every call, is never reached.  The resolution path resolves its second
 label once, and its first label once per distinct flow-0 term of that
-resolution (once in all against a standard label).  It builds that
+resolution (once in all against a standard label); those counts are
+taken on cleared resolution and row tables, which otherwise keep every
+resolution and W3 row for the rest of the process.  It builds that
 product on integer keys: `fuse_standard` is never called, each distinct
 pair of orbits has its W3 rows read once, and labels are built only for
 the terms that survive.
@@ -96,7 +98,10 @@ def test_highest_weight_pair_reads_few_w3_coefficients(monkeypatch, first, secon
 
 
 def _counting_resolution(monkeypatch, seen):
-    """Record the (label, result) of every `resolution` call in bpfusion."""
+    """Record the (label, result) of every `resolution` call in bpfusion,
+    after clearing the tables that keep resolutions and W3 rows."""
+    verlinde._resolution_ints.cache_clear()
+    verlinde._rows_at.cache_clear()
     original = labels.resolution
 
     def counted(params, lam, depth):

@@ -977,3 +977,21 @@ class TestSparseFusionKernel:
                 fuse(p, b, bad)
             with pytest.raises(LabelError):
                 fuse(p, bad, b)
+
+    def test_foreign_orbits_raise_instead_of_fusing_to_zero(self):
+        p = level_params(7, 5)
+        own = standard_label(Fraction(1, 7), enumerate_infwts(p)[0])
+        foreign = standard_label(Fraction(1, 7), enumerate_infwts(level_params(5, 4))[0])
+        hw = hw_label(p, lab((1, 1, 2), (0, 1, 1)), 0)
+        message = f"^{re.escape(str(foreign.orbit))} is not an orbit at \\(7,5\\)$"
+        calls = [
+            lambda: fuse_standard(p, own, foreign),
+            lambda: fuse_standard(p, foreign, own),
+            lambda: fuse(p, own, foreign),
+            lambda: fuse(p, foreign, own),
+            lambda: fuse(p, hw, foreign),
+            lambda: fuse(p, foreign, hw),
+        ]
+        for call in calls:
+            with pytest.raises(LabelError, match=message):
+                call()
