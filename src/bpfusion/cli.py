@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import verify as verify_mod
 from .labels import (
@@ -58,16 +59,80 @@ def parse_tol(text: str, source: str) -> float:
     return tol
 
 
+def _bulk_text(items: list, level: int) -> str | None:
+    """A list of dicts with the same keys and only finite float values (an
+    S-matrix row), rendered by one % over a repeated per-item template;
+    None for any other list, which the plain path then writes.  Every value
+    is an exact float, so its %r is the float.__repr__ json writes."""
+    keys = list(items[0]) if type(items[0]) is dict else []
+    # a dict's keys are distinct, so the items' keys in sequence equal `keys`
+    # repeated once per item only if every item has exactly `keys`, in order
+    if not keys or set(map(type, items)) != {dict}:
+        return None
+    if list(chain.from_iterable(items)) != keys * len(items):
+        return None
+    values = list(chain.from_iterable(map(dict.values, items)))
+    if set(map(type, values)) != {float} or not all(map(math.isfinite, values)):
+        return None
+    pad, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    # encode_basestring_ascii raises TypeError on a key that is not a str
+    fields = ("," + inner).join(encode_basestring_ascii(key).replace("%", "%%") + ": %r" for key in keys)
+    item = pad + "{" + inner + fields + pad + "}"
+    template = "[" + ",".join([item] * len(items)) + "\n" + "  " * level + "]"
+    return template % tuple(values)
+
+
+def _json_text(o, level: int = 0) -> str:
+    """The text of `json.dumps(o, indent=2)`, byte for byte, for a tree of
+    dicts with str keys, lists, tuples, str, int, float, bool and None.  On
+    Python 3.11 `indent` turns off json's C encoder; this writer renders a
+    list of same-key dicts of finite floats (an S-matrix row) with one
+    string format, and everything else recursively as json does."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o in (math.inf, -math.inf):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    pad, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        bulk = _bulk_text(o, level)
+        if bulk is not None:
+            return bulk
+        return "[" + inner + ("," + inner).join(_json_text(x, level + 1) for x in o) + pad + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        fields = []
+        for key, value in o.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            fields.append(encode_basestring_ascii(key) + ": " + _json_text(value, level + 1))
+        return "{" + inner + ("," + inner).join(fields) + pad + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit(args, payload):
     if args.out:
         with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+            handle.write(_json_text(payload) + "\n")
         return
     if args.table:
         _print_table(payload)
     else:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
 
 
 def _print_table(payload, indent=0):

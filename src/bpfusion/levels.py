@@ -308,8 +308,14 @@ def j_of(params: LevelParams, label: RSLabel) -> Fraction:
     return Fraction(r[1] - r[2], 3) - Fraction(params.u, 3 * params.v) * (s[1] - s[2] + 1)
 
 
+def jtw_6v(params: LevelParams, label: RSLabel) -> int:
+    """6v times the twisted charge j_of + kappa, an integer."""
+    r, s = label.r, label.s
+    return 2 * params.v * (r[1] - r[2]) - 2 * params.u * (s[1] - s[2]) - 3 * params.v
+
+
 def jtw_of(params: LevelParams, label: RSLabel) -> Fraction:
-    return j_of(params, label) + params.kappa
+    return Fraction(jtw_6v(params, label), 6 * params.v)
 
 
 # ---------------------------------------------------------------------------

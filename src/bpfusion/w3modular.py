@@ -20,6 +20,7 @@ from .levels import (
     OrbitClass,
     RSLabel,
     conjugate_orbit,
+    jtw_6v,
     jtw_of,
     level_params,
     orbit_index,
@@ -76,10 +77,15 @@ def _plus_rho(w) -> tuple[int, int]:
 
 
 def _weyl_sum(scale: Fraction, a, b) -> complex:
-    """sum over the Weyl group of det(w) e^{-2 pi i scale <w(a), b>}."""
+    """sum over the Weyl group of det(w) e^{-2 pi i scale <w(a), b>}, integer
+    weights, each exponent divided once as ints (see W3SMatrix)."""
+    num, den3 = scale.numerator, 3 * scale.denominator
+    b0, b1 = b
     total = 0j
     for m, det in WEYL:
-        total += det * cexp(-scale * ip(_mat_apply(m, a), b))
+        x0, x1 = _mat_apply(m, a)
+        k = (2 * x0 + x1) * b0 + (x0 + 2 * x1) * b1
+        total += det * cmath.exp(2j * math.pi * (-(num * k) / den3))
     return total
 
 
@@ -136,7 +142,11 @@ class W3SMatrix:
     s-weights (level v-3).  Each Weyl sum is evaluated once per ordered pair
     of distinct weights and each phase once per exponent; the products are
     taken in the order `w3_smatrix_entry` takes them, so every entry equals
-    the scalar evaluation bit for bit.  All arrays are read-only.
+    the scalar evaluation bit for bit.  A Weyl-sum exponent is the integer
+    num * 3<w(x), y> over the integer 3 * den (scale = num / den), divided
+    once as ints; int division and `float(Fraction)` both round that one
+    rational correctly, so the floats fed to the exponential are the ones
+    the Fraction arithmetic gave, at half its cost.  All arrays are read-only.
 
     Besides `matrix`, two arrays feed the Verlinde sums: `vacuum_inverse`,
     1 / S[vac, mu], and `member_phase_sum`, the sum of e(jtw) over the three
@@ -168,8 +178,12 @@ class W3SMatrix:
         matrix.setflags(write=False)
         self.matrix = matrix
         self.vacuum_inverse = _read_only(1 / self.matrix[self.index(table.vacuum)])
+        # e(jtw) as cexp would take it, from the integer 6v * jtw
         self.member_phase_sum = _read_only(
-            [sum(cexp(jtw_of(params, m)) for m in orb.members) for orb in self.orbits]
+            [
+                sum(cmath.exp(2j * math.pi * (jtw_6v(params, m) / (6 * v))) for m in orb.members)
+                for orb in self.orbits
+            ]
         )
 
     def index(self, orbit: OrbitClass) -> int:
@@ -199,7 +213,8 @@ class W3SMatrix:
         return {
             "orbits": [str(orb) for orb in self.orbits],
             "entries": [
-                [{"re": z.real, "im": z.imag} for z in row] for row in self.matrix.tolist()
+                [{"re": x, "im": y} for x, y in zip(re_row, im_row)]
+                for re_row, im_row in zip(self.matrix.real.tolist(), self.matrix.imag.tolist())
             ],
         }
 

@@ -11,12 +11,25 @@ independent references those fast paths are checked against:
   tensor constituent folded into the fundamental alcove with a sign;
 * `w3_fusion` and `w3_fusion_support`: W3 fusion as a product of two
   affine fusion tables read at the orbits' fusion representatives.
+
+`weyl_sum` is the S-matrix's sl3 Weyl sum with its exponent formed as a
+`Fraction`, the reference for the library's integer exponents.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 from bpfusion import w3modular
 from bpfusion.levels import LabelError, RSLabel, orbit_index, orbit_table
-from bpfusion.sl3 import dominant, integrable, weight_multiplicities
+from bpfusion.sl3 import WEYL, _mat_apply, dominant, integrable, ip, weight_multiplicities
+
+
+def weyl_sum(scale: Fraction, a, b) -> complex:
+    """sum over the Weyl group of det(w) e^{-2 pi i scale <w(a), b>}."""
+    total = 0j
+    for m, det in WEYL:
+        total += det * w3modular.cexp(-scale * ip(_mat_apply(m, a), b))
+    return total
 
 
 def peel_tensor(t, tp) -> dict:

@@ -6,6 +6,7 @@ from bpfusion.cli import COMMANDS as CLI_COMMANDS
 from bpfusion.cli import main
 from bpfusion.labels import parse_label
 from bpfusion.levels import level_params
+from bpfusion.w3modular import W3SMatrix
 
 
 def run(capsys, *argv):
@@ -174,3 +175,22 @@ class TestRoundTrip:
         code = main(["smatrix-w3", "4", "3", "--out", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["orbits"] == ["[[0,0,1;0,0,0]]"]
+
+
+class TestOutputBytes:
+    """The golden files pin S-matrix dumps up to (7,5); past them the CLI's
+    writer is held to json.dumps(indent=2) of the same payload, computed here."""
+
+    @pytest.mark.parametrize("u,v", [(8, 7), (10, 9)])
+    def test_smatrix_at_larger_levels_equals_json_dumps(self, capsys, u, v):
+        code, out = run(capsys, "smatrix-w3", str(u), str(v))
+        assert code == 0
+        assert out == json.dumps(W3SMatrix(level_params(u, v)).to_json(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [["smatrix-w3", "5", "3"], ["verify", "4", "3"]], ids=" ".join)
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        code, out = run(capsys, *argv)
+        target = tmp_path / "dump.json"
+        assert run(capsys, *argv, "--out", str(target)) == (code, "")
+        assert code == 0
+        assert target.read_bytes() == out.encode()

@@ -94,6 +94,50 @@ def test_factorised_matrix_at_11_10_on_seeded_entries():
         assert smat.matrix[i, j] == w3_smatrix_entry(p, smat.orbits[i].rep, smat.orbits[j].rep)
 
 
+def _shifted_alcove(level: int) -> list[tuple[int, int]]:
+    """The rho-shifted integrable weights at `level`, the S-matrix's Weyl-sum arguments."""
+    return [(a + 1, b + 1) for a in range(level + 1) for b in range(level + 1 - a)]
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _weyl_sum_mismatches(scale, pairs) -> list:
+    return [
+        (scale, x, y)
+        for x, y in pairs
+        if _bits(w3modular._weyl_sum(scale, x, y)) != _bits(reference.weyl_sum(scale, x, y))
+    ]
+
+
+@pytest.mark.parametrize("u,v", SMALL_LEVELS, ids=lambda x: str(x))
+def test_weyl_sum_equals_the_fraction_reference_bit_for_bit(u, v):
+    for scale, level in ((Fraction(v, u), u - 3), (Fraction(u, v), v - 3)):
+        weights = _shifted_alcove(level)
+        assert _weyl_sum_mismatches(scale, [(x, y) for x in weights for y in weights]) == []
+
+
+def test_weyl_sum_equals_the_fraction_reference_at_11_10_on_seeded_pairs():
+    rng = random.Random(1110)
+    for scale, level in ((Fraction(10, 11), 8), (Fraction(11, 10), 7)):
+        weights = _shifted_alcove(level)
+        pairs = [(rng.choice(weights), rng.choice(weights)) for _ in range(500)]
+        assert _weyl_sum_mismatches(scale, pairs) == []
+
+
+def test_weyl_sum_equals_the_fraction_reference_off_the_alcove():
+    """tensor_sum_check and w3_smatrix_entry take arbitrary integral weights."""
+    rng = random.Random(2026)
+    scales = [Fraction(v, u) for u, v in SMALL_LEVELS]
+
+    def weight():
+        return (rng.randint(-40, 40), rng.randint(-40, 40))
+
+    pairs = [(rng.choice(scales), weight(), weight()) for _ in range(2000)]
+    assert [p for p in pairs if _weyl_sum_mismatches(p[0], [p[1:]])] == []
+
+
 @pytest.mark.parametrize("u,v", [(4, 5), (5, 4), (7, 5)])
 def test_verlinde_arrays(u, v):
     p = level_params(u, v)

@@ -15,6 +15,7 @@ from bpfusion.levels import (
     hw_data,
     in_infwts,
     j_of,
+    jtw_6v,
     jtw_of,
     level_params,
     orbit_of,
@@ -152,6 +153,17 @@ class TestHWData:
             d = hw_data(p, x)
             assert d.j_tw == d.j + p.kappa
             assert j_of(p, x) == d.j and jtw_of(p, x) == d.j_tw
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([(u, v) for u in range(3, 12) for v in range(3, 12) if gcd(u, v) == 1]),
+        st.lists(st.integers(-12, 12), min_size=6, max_size=6),
+    )
+    def test_twisted_charge_over_6v_is_an_integer(self, uv, xs):
+        p = level_params(*uv)
+        x = lab(xs[:3], xs[3:])
+        assert isinstance(jtw_6v(p, x), int)
+        assert jtw_of(p, x) == j_of(p, x) + p.kappa == Fraction(jtw_6v(p, x), 6 * p.v)
 
     def test_rejects_non_member(self):
         p = level_params(4, 3)
