@@ -5,6 +5,7 @@ import argparse
 import math
 import os
 import sys
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -304,9 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser`'s parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep 2 for verification failures only
         return EXIT_DOMAIN if exc.code not in (0, None) else EXIT_OK

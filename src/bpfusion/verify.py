@@ -31,12 +31,13 @@ from .levels import (
     w3_data,
 )
 from .verlinde import (
+    STANDARD_CLASSES,
     GapDivergenceError,
-    VerlindeOracle,
-    fuse_standard,
+    _shift_targets,
     fuse_type3_standard,
     fuse_general,
     oracle_integers,
+    oracle_term,
     oracle_values,
     simple_candidates,
     simple_currents,
@@ -135,56 +136,65 @@ def suite_appendix(params: LevelParams, tol=None, samples=30, seed=7):
     return done > 0, f"{done} random draws"
 
 
+# the size of a complex array one block of the fusion-oracle suite makes, in
+# bytes (or one a's, if larger); about twelve such arrays are live at once
+ORACLE_BLOCK_BYTES = 2**20
+
+
 def suite_fusion_oracle(params: LevelParams, tol=None, window=2):
     """The Verlinde oracle against the closed-form standard product on every
     simple candidate (a, b, ell, shift, c): 4 charge shifts, flows -window
     to window + 1, every orbit.
 
-    Every a (and every b) has one charge and flow, so each class's term of
-    D's expansion is found once.  For each a, `oracle_values` gives every
-    b's candidate values as one (b, class, orbit) array: an entry passes
-    when its value is within INTEGER_TOL of the closed-form integer.  A
-    failure is the first in (a, b, ell, shift, c) order: an OracleError
-    when the value there is no integer, else a mismatch.
+    a and b have charges 1/7 and 2/7 at flow 0, so each class has one term
+    of D's expansion and the same closed-form terms (STANDARD_CLASSES) for
+    every pair.  The closed form is gathered from the fusion factors: N_a,
+    and N_a at b's omega-shifted orbits (`_shift_targets`) summed per
+    direction.  A failure is the first in (a, b, ell, shift, c) order: an
+    OracleError when the value there is no integer, else a mismatch.
     """
-    orbits = enumerate_infwts(params)
-    n, kappa = len(orbits), params.kappa
-    js = [Fraction(1, 7), Fraction(2, 7)]
-    classes = [
-        (HalfInt.of(ell), _mod1(js[0] + js[1] + shift))
-        for ell in range(-window, window + 2)
-        for shift in (0, -4 * kappa, 2 * kappa, -2 * kappa)
-    ]
-    # the flat (class, orbit) positions of the simple candidates, in order
-    checked = np.flatnonzero([simple_candidates(params, charge) for _, charge in classes])
-    # the class rows each closed-form term lands in, keyed by integers (a Fraction hashes slowly)
-    rows_of: dict = {}
-    for k, (ell, charge) in enumerate(classes):
-        rows_of.setdefault((ell.twice, charge.numerator, charge.denominator), []).append(k)
-    position = orbit_table(params).position
-    inputs_a, inputs_b = ([standard_label(j, orb, 0) for orb in orbits] for j in js)
-    oracle = VerlindeOracle(params, inputs_a[0], inputs_b[0])
-    terms = [oracle.term(ell.twice, charge) for ell, charge in classes]
-    smat = _cached_smatrix(params)
-
-    def candidate_at(i):
-        ell, charge = classes[i // n]
-        return standard_label(charge, orbits[i % n], ell)
-
-    for row_a, a in zip(smat.matrix, inputs_a):
-        values = oracle_values(smat, smat.vacuum_inverse * row_a * smat.matrix, terms).reshape(n, -1)
-        want = np.zeros(values.shape, dtype=np.int64)
-        for want_b, b in zip(want, inputs_b):
-            for label, coeff in fuse_standard(params, a, b).items():
-                for k in rows_of.get((label.ell.twice, label.j.numerator, label.j.denominator), ()):
-                    want_b[k * n + position[label.orbit]] += coeff
-        bad = ~(np.abs(values[:, checked] - want[:, checked]) <= INTEGER_TOL)  # a NaN fails too
-        if bad.any():
-            ib, x = divmod(int(np.argmax(bad)), checked.size)
-            i, b = int(checked[x]), inputs_b[ib]
-            got = oracle_integers(params, a, b, values[ib, i : i + 1], lambda _: candidate_at(i))
-            return False, f"oracle mismatch at {candidate_at(i)}: {got[0]} vs {want[ib, i]}"
-    return True, f"{n * n * checked.size} coefficients"
+    table, smat, factors = orbit_table(params), _cached_smatrix(params), fusion_factors(params)
+    orbits, n, kappa = table.orbits, len(table.orbits), params.kappa
+    ja, jb = Fraction(1, 7), Fraction(2, 7)
+    charges = [_mod1(ja + jb + shift) for shift in (0, -4 * kappa, 2 * kappa, -2 * kappa)]
+    masks = [simple_candidates(params, charge) for charge in charges]
+    # a class is (twice its flow, the first index of its charge), so equal classes
+    # are equal keys; the closed-form terms' flows differ, so at most one lands in each
+    lands = {}
+    for i, (step, mult) in enumerate(STANDARD_CLASSES):
+        lands[2 * step, charges.index(_mod1(ja + jb + mult * kappa))] = i
+    keys, count = [], 0  # per class, in order: (term, closed-form term or None, charge index)
+    for twice in range(-2 * window, 2 * window + 4, 2):
+        for charge in charges:
+            c = charges.index(charge)
+            # standard inputs at flow 0: charge offset ja + jb, 2K = 1, D to the first power
+            keys.append((oracle_term(kappa, ja + jb, 1, 1, twice, charge), lands.get((twice, c)), c))
+            count += int(masks[c].sum())
+    checks = [key for key in dict.fromkeys(keys) if key[0] is not None or key[1] is not None]
+    targets, r, s = _shift_targets(params.u, params.v), factors.r_index, factors.s_index
+    rows = smat.vacuum_inverse * smat.matrix
+    step = max(1, ORACLE_BLOCK_BYTES // (16 * n * n))
+    for a0 in range(0, n, step):
+        block = slice(a0, a0 + step)
+        values = oracle_values(smat, rows[block, None] * smat.matrix, [term for term, _, _ in checks])
+        plain = factors.n_r[np.ix_(r[block], r, r)] * factors.n_s[np.ix_(s[block], s, s)]
+        padded = np.concatenate((plain, np.zeros_like(plain[:, :1])), axis=1)  # a target -1 reads zeros
+        parts = (plain, plain, padded[:, targets[:, :3]].sum(axis=2), padded[:, targets[:, 3:]].sum(axis=2))
+        bad = {}
+        for term, land, c in checks:
+            want = 0 if land is None else parts[land]
+            bad[term, land, c] = ~(np.abs(values[term] - want) <= INTEGER_TOL) & masks[c]  # a NaN fails too
+        hit = np.array(list(bad.values())).any(axis=(0, 3))
+        if hit.any():
+            ia, ib = divmod(int(np.argmax(hit)), n)
+            k = next(k for k, key in enumerate(keys) if key in bad and bad[key][ia, ib].any())
+            (term, land, c), ic = keys[k], int(np.argmax(bad[keys[k]][ia, ib]))
+            a, b = standard_label(ja, orbits[a0 + ia], 0), standard_label(jb, orbits[ib], 0)
+            candidate = standard_label(charges[c], orbits[ic], HalfInt(2 * (k // len(charges) - window)))
+            got = oracle_integers(params, a, b, values[term][ia, ib, ic : ic + 1], lambda _: candidate)
+            want = 0 if land is None else parts[land][ia, ib, ic]
+            return False, f"oracle mismatch at {candidate}: {got[0]} vs {want}"
+    return True, f"{n * n * count} coefficients"
 
 
 def suite_telescoping(params: LevelParams, tol=None):

@@ -41,7 +41,6 @@ from .levels import (
     j_of,
     jtw_of,
     level_params,
-    orbit_index,
     orbit_of,
     orbit_table,
     sigma,
@@ -182,25 +181,45 @@ STANDARD_CLASSES = ((2, -4), (-1, 2), (1, -2), (0, 0))
 OMEGA_SHIFTS = ((1, -1, 0), (0, 1, -1), (-1, 0, 1))  # of an s-label, by sign -1 (down) or +1 (up)
 
 
+@lru_cache(maxsize=None)
+def _shift_targets(u: int, v: int) -> np.ndarray:
+    """For each orbit, the positions of the orbits of its representative with
+    the s-label shifted by each of OMEGA_SHIFTS down, then up: a read-only
+    (n, 6) int64 table, built once per process.  A shifted label on the
+    alcove boundary (an entry -1) is no interior label and reads -1."""
+    table = orbit_table(level_params(u, v))
+    targets = np.full((len(table.orbits), 2 * len(OMEGA_SHIFTS)), -1, dtype=np.int64)
+    for i, orb in enumerate(table.orbits):
+        r, s, j = orb.rep.r, orb.rep.s, 0
+        for sign in (-1, 1):
+            for d in OMEGA_SHIFTS:
+                f = table.index.get(RSLabel(r, (s[0] + sign * d[0], s[1] + sign * d[1], s[2] + sign * d[2])))
+                if f is not None:
+                    targets[i, j] = table.position[f]
+                j += 1
+    targets.setflags(write=False)
+    return targets
+
+
 def _standard_rows(params: LevelParams, ia: int, ib: int) -> tuple:
     """The W3 part of `fuse_standard` for the orbits at positions ia and ib:
     one row of (orbit position, coefficient) pairs per entry of
-    STANDARD_CLASSES.  The three shifts of each direction are merged into
-    one row; a shifted label with a -1 entry sits on the alcove boundary, is
-    no key of the orbit index, and contributes nothing."""
-    table, index = orbit_table(params), orbit_index(params)
-    position, a, rep = table.position, table.orbits[ia], table.orbits[ib].rep
+    STANDARD_CLASSES, the three shifts of each direction (`_shift_targets`)
+    merged into one row."""
+    table = orbit_table(params)
+    position, orbits = table.position, table.orbits
+    a, targets = orbits[ia], _shift_targets(params.u, params.v)[ib].tolist()
 
-    def row(sign: int) -> tuple:
+    def row(positions) -> tuple:
         out: dict[int, int] = {}
-        for step in OMEGA_SHIFTS if sign else ((0, 0, 0),):
-            f = index.get(RSLabel(rep.r, tuple(x + sign * d for x, d in zip(rep.s, step))))
-            for orb in w3_fusion_support(params, a, f) if f else ():
-                out[position[orb]] = out.get(position[orb], 0) + w3_fusion(params, a, f, orb)
+        for i in positions:
+            if i >= 0:
+                for orb in w3_fusion_support(params, a, orbits[i]):
+                    out[position[orb]] = out.get(position[orb], 0) + w3_fusion(params, a, orbits[i], orb)
         return tuple(out.items())
 
-    plain = row(0)
-    return (plain, plain, row(-1), row(+1))
+    plain = row((ib,))
+    return (plain, plain, row(targets[:3]), row(targets[3:]))
 
 
 @lru_cache(maxsize=None)
@@ -444,19 +463,44 @@ def oracle_integers(params: LevelParams, a, b, values: np.ndarray, candidate_at,
     return nearest.astype(np.int64)
 
 
-def oracle_values(smat, base: np.ndarray, terms) -> np.ndarray:
-    """Unrounded oracle values at every candidate orbit, shape (len(base),
-    len(terms), n), from the W3SMatrix `smat`.  A row of `base` is S[a] *
-    S[b] / S[vac] for an input pair, a class is its term of D's expansion (see
-    VerlindeOracle).  Each term is one product S* @ (weight * base) over the
-    stack, weight 1, -sum e(jtw) or its conjugate; None reads 0."""
+def oracle_values(smat, base: np.ndarray, terms) -> dict:
+    """Unrounded oracle values at every candidate orbit, one array of base's
+    shape per distinct entry of `terms`.  A row of `base` is S[a] * S[b] /
+    S[vac] for an input pair; a term of D's expansion (see VerlindeOracle)
+    is one product S* @ (weight * base), weight 1, -sum e(jtw) or its
+    conjugate; None reads 0."""
     weights = {0: 1, 1: -smat.member_phase_sum, -1: -smat.member_phase_sum.conj()}
-    out = np.zeros((len(base), len(terms), base.shape[1]), dtype=complex)
-    for term in set(terms) - {None}:
+    out = {}
+    for term in set(terms):
+        if term is None:
+            out[term] = np.zeros(base.shape, dtype=complex)
+            continue
         # S* @ w for each row w, as conj(w* @ S^T): no conjugate matrix is formed
-        product = np.conj(np.conj(base * weights[term]) @ smat.matrix.T)
-        out[:, [k for k, t in enumerate(terms) if t == term]] = product[:, None]
+        rows = base * weights[term]
+        product = np.conj(rows, out=rows) @ smat.matrix.T
+        out[term] = np.conj(product, out=product)
     return out
+
+
+def oracle_term(kappa: Fraction, offset: Fraction, two_k: int, d_total: int, ell_twice: int, charge: Fraction):
+    """The term of D's expansion that the class (ell, charge) extracts from
+    a Verlinde sum with charge offset `offset`, 2K `two_k` and D-power
+    `d_total` (see VerlindeOracle): 0, +1 or -1 (see `oracle_values`), or
+    None when every coefficient of the class is 0."""
+    kn, kd = kappa.numerator, kappa.denominator
+    diff = offset - charge
+    num, den = diff.numerator * kd, diff.denominator
+    # diff - kappa * ell_twice, over the denominator den * kd, must be an integer
+    if (num - kn * ell_twice * den) % (den * kd):
+        return None
+    two_k -= ell_twice
+    # with no D left only 2K = 0 survives; otherwise expand
+    # D(k, mu) = y^3 + y^-3 - sum_i (y w_i + y^-1 w_i*) against y^{-2K}
+    if (d_total == 0 and two_k == 0) or (d_total == 1 and two_k in (3, -3)):
+        return 0
+    if d_total == 1 and two_k in (1, -1):
+        return two_k
+    return None
 
 
 class VerlindeOracle:
@@ -489,41 +533,24 @@ class VerlindeOracle:
             raise LabelError("at most one type-3 input: two leave a live denominator")
         self.params, self.a, self.b = params, a, b
         self._smat = smat = _cached_smatrix(params)
-        kappa = params.kappa
         # the charge sum m_a + m_b - (kappa * 2ell + charge - kappa) + kappa
         # must be an integer; _offset holds all of it but the candidate's part
-        self._offset = m_a + m_b + 2 * kappa
-        self._kappa = (kappa.numerator, kappa.denominator)
+        self._offset = m_a + m_b + 2 * params.kappa
         self._two_k = k_a + k_b + 1
         self._d_total = d_a + d_b + 1
         rows = smat.matrix
         self._base = smat.vacuum_inverse * rows[smat.index(orb_a)] * rows[smat.index(orb_b)]
 
     def term(self, ell_twice: int, charge: Fraction):
-        """The term of D's expansion that the class (ell, charge) extracts:
-        0 for weight 1, +1 or -1 for -sum e(jtw) or its conjugate, and None
-        when every coefficient of the class is 0."""
-        kn, kd = self._kappa
-        diff = self._offset - charge
-        num, den = diff.numerator * kd, diff.denominator
-        # diff - kappa * ell_twice, over the denominator den * kd, must be an integer
-        if (num - kn * ell_twice * den) % (den * kd):
-            return None
-        two_k = self._two_k - ell_twice
-        d_total = self._d_total
-        # with no D left only 2K = 0 survives; otherwise expand
-        # D(k, mu) = y^3 + y^-3 - sum_i (y w_i + y^-1 w_i*) against y^{-2K}
-        if (d_total == 0 and two_k == 0) or (d_total == 1 and two_k in (3, -3)):
-            return 0
-        if d_total == 1 and two_k in (1, -1):
-            return two_k
-        return None
+        """`oracle_term` of the class (ell, charge) in this sum."""
+        return oracle_term(self.params.kappa, self._offset, self._two_k, self._d_total, ell_twice, charge)
 
     def values(self, ell: HalfInt, charge: Fraction) -> np.ndarray:
         """The unrounded oracle values of standard_label(charge, c, ell) for
         every orbit c of `enumerate_infwts`; `charge` lies in [0, 1), as a
         standard label stores it.  Nonsimple candidates' values mean nothing."""
-        return oracle_values(self._smat, self._base[None], [self.term(ell.twice, charge)])[0, 0]
+        term = self.term(ell.twice, charge)
+        return oracle_values(self._smat, self._base[None], [term])[term][0]
 
 
 def simple_candidates(params: LevelParams, charge) -> np.ndarray:

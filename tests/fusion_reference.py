@@ -14,13 +14,20 @@ independent references those fast paths are checked against:
 
 `weyl_sum` is the S-matrix's sl3 Weyl sum with its exponent formed as a
 `Fraction`, the reference for the library's integer exponents.
+
+`fusion_oracle_suite` is the fusion-oracle suite as it was before it read
+the closed form as integer gathers: one `fuse_standard` per (a, b) pair,
+its terms placed label by label into a (b, class, orbit) array.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from bpfusion import w3modular
-from bpfusion.levels import LabelError, RSLabel, orbit_index, orbit_table
+import numpy as np
+
+from bpfusion import verlinde, w3modular
+from bpfusion.labels import HalfInt, _mod1, standard_label
+from bpfusion.levels import LabelError, RSLabel, enumerate_infwts, orbit_index, orbit_table
 from bpfusion.sl3 import WEYL, _mat_apply, dominant, integrable, ip, weight_multiplicities
 
 
@@ -127,3 +134,52 @@ def w3_fusion_support(params, a, b) -> list:
     index = orbit_index(params)
     s_side = w3modular.fusion_table(params.v - 3, ra.s, rb.s)
     return [index[RSLabel(r, s)] for r in w3modular.fusion_table(params.u - 3, ra.r, rb.r) for s in s_side]
+
+
+def fusion_oracle_suite(params, tol=None, window=2):
+    """The Verlinde oracle against the closed-form standard product on every
+    simple candidate (a, b, ell, shift, c), with the verdict and detail of
+    `verify.suite_fusion_oracle`.  For each a, every b's values form one
+    (b, class, orbit) array, compared with `fuse_standard` of each pair
+    placed label by label.  The library names (`verlinde.fuse_standard`,
+    `verlinde.oracle_values`) are read at call time, so a test that patches
+    them reaches this suite too."""
+    orbits = enumerate_infwts(params)
+    n, kappa = len(orbits), params.kappa
+    js = [Fraction(1, 7), Fraction(2, 7)]
+    classes = [
+        (HalfInt.of(ell), _mod1(js[0] + js[1] + shift))
+        for ell in range(-window, window + 2)
+        for shift in (0, -4 * kappa, 2 * kappa, -2 * kappa)
+    ]
+    # the flat (class, orbit) positions of the simple candidates, in order
+    checked = np.flatnonzero([verlinde.simple_candidates(params, charge) for _, charge in classes])
+    rows_of: dict = {}
+    for k, (ell, charge) in enumerate(classes):
+        rows_of.setdefault((ell.twice, charge.numerator, charge.denominator), []).append(k)
+    position = orbit_table(params).position
+    inputs_a, inputs_b = ([standard_label(j, orb, 0) for orb in orbits] for j in js)
+    oracle = verlinde.VerlindeOracle(params, inputs_a[0], inputs_b[0])
+    terms = [oracle.term(ell.twice, charge) for ell, charge in classes]
+    smat = w3modular._cached_smatrix(params)
+
+    def candidate_at(i):
+        ell, charge = classes[i // n]
+        return standard_label(charge, orbits[i % n], ell)
+
+    for row_a, a in zip(smat.matrix, inputs_a):
+        base = smat.vacuum_inverse * row_a * smat.matrix
+        products = verlinde.oracle_values(smat, base, terms)
+        values = np.stack([products.get(t, np.zeros(base.shape, complex)) for t in terms], axis=1).reshape(n, -1)
+        want = np.zeros(values.shape, dtype=np.int64)
+        for want_b, b in zip(want, inputs_b):
+            for label, coeff in verlinde.fuse_standard(params, a, b).items():
+                for k in rows_of.get((label.ell.twice, label.j.numerator, label.j.denominator), ()):
+                    want_b[k * n + position[label.orbit]] += coeff
+        bad = ~(np.abs(values[:, checked] - want[:, checked]) <= w3modular.INTEGER_TOL)  # a NaN fails too
+        if bad.any():
+            ib, x = divmod(int(np.argmax(bad)), checked.size)
+            i, b = int(checked[x]), inputs_b[ib]
+            got = verlinde.oracle_integers(params, a, b, values[ib, i : i + 1], lambda _: candidate_at(i))
+            return False, f"oracle mismatch at {candidate_at(i)}: {got[0]} vs {want[ib, i]}"
+    return True, f"{n * n * checked.size} coefficients"

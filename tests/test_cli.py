@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bpfusion
+from bpfusion import cli
 from bpfusion.cli import COMMANDS as CLI_COMMANDS
 from bpfusion.cli import main
 from bpfusion.labels import parse_label
@@ -194,3 +200,34 @@ class TestOutputBytes:
         assert run(capsys, *argv, "--out", str(target)) == (code, "")
         assert code == 0
         assert target.read_bytes() == out.encode()
+
+
+def test_one_parser_serves_every_call_as_separate_runs_would(capsys, monkeypatch):
+    """main builds the parser once per process, and a usage error between
+    two calls leaves it as it was: the exit codes and stdout bytes are those
+    of separate interpreters."""
+    argvs = [
+        ["orbit", "5", "3", "[1,1,0;0,0,0]"],
+        ["fuse", "4", "3"],
+        ["orbit", "5", "3", "[1,1,0;0,0,0]"],
+        ["verify", "4", "3", "--suite", "levels", "--tol", "1e-8"],
+    ]
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        in_process = [(code, out.encode()) for code, out in (run(capsys, *argv) for argv in argvs)]
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    env = dict(os.environ, PYTHONPATH=str(Path(bpfusion.__file__).resolve().parent.parent))
+    separate = [
+        (proc.returncode, proc.stdout)
+        for proc in (
+            subprocess.run([sys.executable, "-m", "bpfusion.cli", *argv], capture_output=True, env=env, timeout=120)
+            for argv in argvs
+        )
+    ]
+    assert in_process == separate
+    assert [code for code, _ in in_process] == [0, 1, 0, 0]

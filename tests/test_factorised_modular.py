@@ -6,6 +6,7 @@ The factorised builder must reproduce the scalar `w3_smatrix_entry` bit
 for bit, and the vectorised oracle must agree with the loop over orbits
 it replaced (kept below as `loop_oracle`).
 """
+import copy
 import random
 import re
 import sys
@@ -18,9 +19,8 @@ import numpy as np
 import pytest
 
 import fusion_reference as reference
-from bpfusion import labels, verify, w3modular
+from bpfusion import labels, verify, verlinde, w3modular
 from bpfusion.labels import (
-    FormalSum,
     HalfInt,
     HWLabel,
     StandardLabel,
@@ -457,7 +457,7 @@ def loop_fusion_oracle_suite(params, window=2):
         for orb_b in orbits:
             a = standard_label(js[0], orb_a, 0)
             b = standard_label(js[1], orb_b, 0)
-            closed = verify.fuse_standard(params, a, b)
+            closed = verlinde.fuse_standard(params, a, b)
             for ell in range(-window, window + 2):
                 for shift in (0, -4 * kappa, 2 * kappa, -2 * kappa):
                     for orb_c in orbits:
@@ -479,17 +479,18 @@ def test_suite_agrees_with_the_loop_suite(u, v):
 
 @pytest.mark.parametrize("u,v,picks", [(5, 4, (0,)), (4, 5, (-1,)), (5, 4, (0, -1))], ids=str)
 def test_dropped_terms_fail_at_the_loop_suites_candidate(monkeypatch, u, v, picks):
-    """A closed form missing one (or two) in-window terms of every product:
-    the batched suite names the first candidate the loop suite names."""
+    """Fusion factors missing one (or two) nonzero sl3 couplings, so the
+    closed form misses every term they feed: the batched suite, which
+    gathers the factors, names the first candidate the loop suite, which
+    calls fuse_standard, names."""
+    real = w3modular._factors_at(u, v)
+    dropped = copy.copy(real)
+    n_r = real.n_r.copy()
+    n_r.flat[np.flatnonzero(n_r)[list(picks)]] = 0
+    n_r.setflags(write=False)
+    dropped.n_r = n_r
+    monkeypatch.setattr(w3modular, "_factors_at", lambda uu, vv: dropped)
     p = level_params(u, v)
-    real = verify.fuse_standard
-
-    def dropped(params, a, b):
-        full = real(params, a, b)
-        terms = [(lab, n) for lab, n in full if -4 <= lab.ell.twice <= 6 and not is_nonsimple_standard(params, lab)]
-        return full - FormalSum(dict(terms[i] for i in picks).items())
-
-    monkeypatch.setattr(verify, "fuse_standard", dropped)
     got = verify.suite_fusion_oracle(p)
     assert not got[0]
     assert got == loop_fusion_oracle_suite(p)
@@ -497,24 +498,29 @@ def test_dropped_terms_fail_at_the_loop_suites_candidate(monkeypatch, u, v, pick
 
 def test_a_non_integer_value_fails_the_suite_at_its_candidate(monkeypatch):
     p = level_params(5, 4)
-    target = (HalfInt.of(1), Fraction(3, 7))
-    # the suite's classes: flows -2 to 3, each at its four charge shifts, 0 first
-    k = [(ell, shift) for ell in range(-2, 4) for shift in range(4)].index((1, 0))
+    # the class (flow 0, charge 3/7) is the only one whose values are the +1 term's
+    target = (HalfInt.of(0), Fraction(3, 7))
+    term = 1
     real = verify.oracle_values
 
     def perturbed(smat, base, terms):
         out = real(smat, base, terms)
-        out[:, k] += 0.25
+        out[term] = out[term] + 0.25
         return out
 
     monkeypatch.setattr(verify, "oracle_values", perturbed)
     with pytest.raises(OracleError) as info:
         verify.suite_fusion_oracle(p)
     orbs = enumerate_infwts(p)
-    first = next(orb for orb in orbs if not is_nonsimple_standard(p, standard_label(target[1], orb, 1)))
+    first = next(orb for orb in orbs if not is_nonsimple_standard(p, standard_label(target[1], orb, 0)))
     err = info.value
-    assert (err.a.orbit, err.b.orbit, err.candidate) == (orbs[0], orbs[0], standard_label(target[1], first, 1))
+    assert (err.a.orbit, err.b.orbit, err.candidate) == (orbs[0], orbs[0], standard_label(target[1], first, 0))
     assert err.distance == pytest.approx(0.25)
+    # the reference suite, given the same values, raises the same error
+    monkeypatch.setattr(verlinde, "oracle_values", perturbed)
+    with pytest.raises(OracleError) as ref_info:
+        reference.fusion_oracle_suite(p)
+    assert str(ref_info.value) == str(err)
 
 
 @pytest.mark.parametrize("u,v", [(5, 4), (4, 5)])

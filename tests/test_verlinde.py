@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,10 +30,14 @@ from bpfusion.levels import (
     enumerate_surv,
     j_of,
     level_params,
+    orbit_index,
     orbit_of,
+    orbit_table,
 )
 from bpfusion.verlinde import (
+    OMEGA_SHIFTS,
     GapDivergenceError,
+    _shift_targets,
     _type3_middle_form,
     fuse,
     fuse_general,
@@ -995,3 +1000,25 @@ class TestSparseFusionKernel:
         for call in calls:
             with pytest.raises(LabelError, match=message):
                 call()
+
+
+def _shift_probe(params):
+    """The omega-shift targets as `_standard_rows` found them on each call
+    before the table: one orbit-index lookup per shifted label."""
+    table = orbit_table(params)
+    out = []
+    for orb in table.orbits:
+        row = []
+        for sign in (-1, 1):
+            for step in OMEGA_SHIFTS:
+                f = orbit_index(params).get(RSLabel(orb.rep.r, tuple(x + sign * d for x, d in zip(orb.rep.s, step))))
+                row.append(table.position[f] if f else -1)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("u,v", [(u, v) for u in range(3, 10) for v in range(3, 10) if math.gcd(u, v) == 1])
+def test_shift_targets_equal_the_per_call_probe(u, v):
+    targets = _shift_targets(u, v)
+    assert targets.dtype == np.int64 and not targets.flags.writeable
+    assert targets.tolist() == _shift_probe(level_params(u, v))
