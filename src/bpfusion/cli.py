@@ -287,6 +287,12 @@ COMMANDS = {
 }
 
 
+DEPTH_HELP = {
+    "resolve": "flows above the label's own at which the periodic block is cut (default 9v)",
+    "fuse": "must be >= 1; fusion divides the whole resolution exactly, so the answer does not depend on it",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bpfusion")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -298,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("labels", nargs=nlabels, metavar="LABEL")
         p.add_argument("--table", action="store_true")
         p.add_argument("--tol", default=None)
-        p.add_argument("--depth", type=int, default=None)
+        p.add_argument("--depth", type=int, default=None, help=DEPTH_HELP.get(name))
         p.add_argument("--out", default=None)
         if name == "verify":
             p.add_argument("--suite", default=None)

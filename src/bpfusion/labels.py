@@ -8,6 +8,7 @@ presentation are explicit.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,12 +19,15 @@ from .levels import (
     LevelParams,
     OrbitClass,
     RSLabel,
+    _enumerate_surv,
+    _orbit_table,
     check_surv,
     enumerate_infwts,
     hash_once,
     in_infwts,
     jtw_of,
     level_params,
+    orbit_table,
     parse_orbit,
     sigma,
     sigma_inv,
@@ -499,69 +503,56 @@ def rewrite_gaps(params: LevelParams, sum_: FormalSum) -> FormalSum:
 # Resolutions by nonsimple standard modules
 
 
+@lru_cache(maxsize=None)
+def _series(u: int, v: int, lam: int) -> tuple[tuple, tuple]:
+    """The resolution of I[lam]^0 (lam a position in `enumerate_surv`) as a
+    finite head plus one block that repeats every P = 3v flows with sign
+    (-1)^v, built once per process; a term is (twice flow, charge numerator
+    over 6v, orbit position, sign).  The head is the m < s2 terms of the
+    one-step resolutions, the block the s0-family at n = 0 and the
+    s1-family at n = 1."""
+    gaps, position = _gap_of_member(u, v), _orbit_table(u, v).position
+    r3, (s0, s1, s2) = _enumerate_surv(u, v)[lam].r, _enumerate_surv(u, v)[lam].s
+    cycles = (sigma_inv(RSLabel(r3, (0, 0, 0))).r, r3, sigma(RSLabel(r3, (0, 0, 0))).r)
+    twist = (1, (-1) ** v, 1)  # the sign the middle cycle step carries
+
+    def term(r: tuple, s: tuple, flow: int, sign: int) -> tuple[int, int, int, int]:
+        orbit, charge = gaps[RSLabel(r, s)]  # the nonsimple standard label of [r;s]
+        return 2 * flow, charge.numerator * (6 * v // charge.denominator), position[orbit], sign
+
+    head = tuple(term(r3, (s0, s1 + m + 1, s2 - m - 1), m, (-1) ** m) for m in range(s2))
+    block = [
+        term(cycles[i], (v - 2 - s0, m, s0 - m - 1), m + i * v + s2 + 1, (-1) ** (s2 + m) * twist[i])
+        for m in range(s0) for i in range(3)
+    ] + [
+        term(cycles[i - 1], (s0, m, v - 3 - s0 - m), m + (i + 1) * v - s1 - 1, -((-1) ** (s1 + m + v)) * twist[i])
+        for m in range(v - 2 - s0) for i in range(3)
+    ]
+    return head, tuple(block)
+
+
+def series_of(params: LevelParams, lam: RSLabel) -> tuple[tuple, tuple]:
+    """`_series` of the weight label lam, read from the process-wide table."""
+    return _series(params.u, params.v, bisect_left(_enumerate_surv(params.u, params.v), check_surv(params, lam)))
+
+
 def resolution(params: LevelParams, lam: RSLabel | HWLabel, depth: int) -> FormalSum:
     """Alternating sum of nonsimple standard labels resolving a flowed
-    highest-weight module, truncated at flow index <= base flow + depth.
-
-    Accepts a bare weight label (flow 0) or a normalised HWLabel.
-    """
+    highest-weight module (a bare weight label is taken at flow 0): the head
+    of its series (`_series`) in full, and the block at every flow index
+    <= base flow + depth."""
     if depth < 1:
         raise LabelError("depth must be >= 1")
-    if isinstance(lam, HWLabel):
-        base = lam
-    else:
-        base = hw_label(params, lam, 0)
+    base = lam if isinstance(lam, HWLabel) else hw_label(params, lam, 0)
     if not base.ell.is_integer:
         raise LabelError("resolutions are taken in the integral-flow sector")
-    shift = base.ell.twice // 2
-    lam = base.lam
-    v = params.v
-    r3 = lam.r
-    s0, s1, s2 = lam.s
-    cut = shift + depth
-
-    terms: list[tuple[RSLabel, int, int]] = []  # (interior label, flow, sign)
-
-    for m in range(s2):
-        terms.append((RSLabel(r3, (s0, s1 + m + 1, s2 - m - 1)), m + shift, (-1) ** m))
-
-    cycles = (sigma_inv(RSLabel(r3, (0, 0, 0))).r, r3, sigma(RSLabel(r3, (0, 0, 0))).r)
-
-    if s0 > 0:
-        n = 0
-        while True:
-            base_flow = 3 * n * v + s2 + 1 + shift
-            if base_flow > cut:
-                break
-            for m in range(s0):
-                sgn = (-1) ** ((s2 + m + n * v) % 2)
-                svals = (v - 2 - s0, m, s0 - m - 1)
-                for i, rpart in enumerate(cycles):
-                    flow = m + (3 * n + i) * v + s2 + 1 + shift
-                    if flow > cut:
-                        continue
-                    isgn = sgn * ((-1) ** (v % 2) if i == 1 else 1)
-                    terms.append((RSLabel(rpart, svals), flow, isgn))
-            n += 1
-
-    n = 1
-    while True:
-        base_flow = (3 * n - 2) * v - s1 - 1 + shift
-        if base_flow > cut:
-            break
-        for m in range(v - 2 - s0):
-            sgn = -((-1) ** ((s1 + m + n * v) % 2))
-            svals = (s0, m, v - 3 - s0 - m)
-            for i, rpart in enumerate((cycles[2], cycles[0], cycles[1])):
-                flow = m + (3 * n - 2 + i) * v - s1 - 1 + shift
-                if flow > cut:
-                    continue
-                isgn = sgn * ((-1) ** (v % 2) if i == 1 else 1)
-                terms.append((RSLabel(rpart, svals), flow, isgn))
-        n += 1
-
+    head, block = series_of(params, base.lam)
+    v, shift, orbits = params.v, base.ell.twice, orbit_table(params).orbits
+    terms = list(head)
+    for t, n, pos, sign in block:
+        terms += [(t + 6 * v * k, n, pos, sign * (-1) ** (v * k)) for k in range((2 * depth - t) // (6 * v) + 1)]
     return FormalSum(
-        (nonsimple_standard(params, inner, flow), sgn) for inner, flow, sgn in terms
+        (StandardLabel(HalfInt(t + shift), Fraction(n, 6 * v), orbits[pos]), sign) for t, n, pos, sign in terms
     )
 
 

@@ -25,8 +25,8 @@ from .labels import (
     hw_label,
     is_nonsimple_standard,
     orbit_type,
-    resolution,
     rewrite_gaps,
+    series_of,
     standard_label,
     vacuum_label,
 )
@@ -36,7 +36,7 @@ from .levels import (
     OrbitClass,
     RSLabel,
     _enumerate_surv,
-    check_surv,
+    _orbit_table,
     hw_data,
     j_of,
     jtw_of,
@@ -50,6 +50,7 @@ from .w3modular import (
     INTEGER_TOL,
     POLE_TOL,
     _cached_smatrix,
+    _factors_at,
     _position,
     cexp,
     w3_fusion,
@@ -63,27 +64,23 @@ class GapDivergenceError(ValueError):
     """Kernel evaluated against a nonsimple standard label."""
 
 
-# how many unsettled terms a NotStabilisedError message lists; all are on `terms`
+# how many remainder terms a NotStabilisedError message lists; all are on `terms`
 UNSETTLED_SHOWN = 6
 
 
 class NotStabilisedError(RuntimeError):
-    """A depth-truncated fusion failed to settle; raise the depth.
+    """A resolved fusion product did not divide exactly by (1 - εq^P).
 
-    Carries what failed: the level pair `uv`, the inputs `a` and `b`, the
-    `depth`, the flow `top` the failed pass reached, and `terms`, the
-    nonzero terms of the window that did not settle.
+    Carries what failed: the level pair `uv`, the inputs `a` and `b`, and
+    `terms`, the remainder of the division that was not exact.
     """
 
-    def __init__(self, message: str, params: LevelParams, a, b, depth: int, top: int, terms: FormalSum):
+    def __init__(self, message: str, params: LevelParams, a, b, terms: FormalSum):
         self.uv = (params.u, params.v)
-        self.a, self.b, self.depth, self.top, self.terms = a, b, depth, top, terms
+        self.a, self.b, self.terms = a, b, terms
         shown = FormalSum(list(terms)[:UNSETTLED_SHOWN])
         more = f" + ... ({len(terms)} terms in all)" if len(terms) > len(shown) else ""
-        super().__init__(
-            f"{message} (u,v)=({params.u},{params.v}), depth {depth}, top {top}; "
-            f"unsettled terms {shown}{more}"
-        )
+        super().__init__(f"{message} (u,v)=({params.u},{params.v}); remainder {shown}{more}")
 
 
 class OracleError(RuntimeError):
@@ -224,21 +221,22 @@ def _standard_rows(params: LevelParams, ia: int, ib: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _rows_at(u: int, v: int, ia: int, ib: int) -> tuple:
-    """`_standard_rows` at (u, v), built once per process and keyed on ints."""
-    return _standard_rows(level_params(u, v), ia, ib)
-
-
-@lru_cache(maxsize=None)
-def _resolution_ints(u: int, v: int, lam: int, depth: int) -> tuple:
-    """resolution(params, I[lam]^0, depth), lam a position in `enumerate_surv`,
-    built once per process as (twice flow, charge numerator over 6v, orbit
-    position, coefficient) tuples, one per term in the resolution's order."""
-    params = level_params(u, v)
-    position = orbit_table(params).position
-    res = resolution(params, HWLabel(HalfInt(0), _enumerate_surv(u, v)[lam]), depth)
-    return tuple(
-        (x.ell.twice, x.j.numerator * 6 * v // x.j.denominator, position[x.orbit], c) for x, c in res.items()
-    )
+    """The rows of `_standard_rows` for the orbits at positions ia and ib,
+    read straight off `fusion_factors` and `_shift_targets`, built once per
+    process and keyed on ints.  A row is two tuples (less memory than pairs):
+    the orbit positions of its nonzero W3 coefficients, and the coefficients."""
+    f = _factors_at(u, v)
+    r, s = f.r_index, f.s_index
+    targets = np.concatenate(([ib], _shift_targets(u, v)[ib]))
+    # the plain product, then b's three down- and three up-shifted orbits;
+    # a target -1 (no interior label) reads a zero row
+    rows = f.n_r[r[ia]][r[targets]][:, r] * f.n_s[s[ia]][s[targets]][:, s] * (targets >= 0)[:, None]
+    parts = np.add.reduceat(rows, [0, 1, 4])
+    which, positions = np.nonzero(parts)
+    ends = [0, *np.searchsorted(which, (1, 2)).tolist(), len(which)]
+    values, positions = parts[which, positions].tolist(), positions.tolist()
+    plain, down, up = ((tuple(positions[i:j]), tuple(values[i:j])) for i, j in zip(ends, ends[1:]))
+    return plain, plain, down, up
 
 
 def fuse_standard(params: LevelParams, a: StandardLabel, b: StandardLabel) -> FormalSum:
@@ -253,44 +251,6 @@ def fuse_standard(params: LevelParams, a: StandardLabel, b: StandardLabel) -> Fo
         for pos, n in row:
             out._add(StandardLabel(flow, charge, orbits[pos]), n)
     return out
-
-
-def _resolved_product(params: LevelParams, a: HWLabel, res_b: FormalSum, depth_at) -> FormalSum:
-    """The sum of cx * cy * fuse_standard(x, y) over the terms y, cy of res_b
-    and x, cx of resolution(params, a, depth_at(f)), f the lowest flow at
-    which y's charge and orbit occur in res_b; flowed copies of one such term
-    share a product.  All charges lie in (1/D)Z, D the lcm of 6v (a
-    resolution's charges) and res_b's denominators, so a term is an integer
-    key (twice its flow, charge numerator over D mod D, orbit position);
-    only surviving keys become labels.  The resolutions and the W3 rows come
-    from process-wide tables (`_resolution_ints`, `_rows_at`)."""
-    u, v = params.u, params.v
-    den = math.lcm(6 * v, *(y.j.denominator for y, _ in res_b.items()))
-    scale = den // (6 * v)
-    classes = [(2 * step, mult * (params.kappa * den).numerator) for step, mult in STANDARD_CLASSES]
-    lam, a_twice = bisect_left(_enumerate_surv(u, v), check_surv(params, a.lam)), a.ell.twice
-    placed: dict = {}  # (charge, orbit) of a term of res_b -> [(twice its flow, coeff)]
-    for y, cy in res_b.items():
-        placed.setdefault((y.j, y.orbit), []).append((y.ell.twice, cy))
-    total: dict[tuple[int, int, int], int] = {}
-    for (j, orb_b), copies in placed.items():
-        num_b, ib = j.numerator * (den // j.denominator), _position(params, orb_b)
-        part: dict[tuple[int, int, int], int] = {}
-        for tx, nx, ia, cx in _resolution_ints(u, v, lam, depth_at(min(t for t, _ in copies) // 2)):
-            tx, num = tx + a_twice, nx * scale + num_b
-            for (dt, dn), row in zip(classes, _rows_at(u, v, ia, ib)):
-                t, n = tx + dt, (num + dn) % den
-                for pos, c in row:
-                    key = (t, n, pos)
-                    part[key] = part.get(key, 0) + cx * c
-        for (t, n, pos), c in part.items():
-            if c:
-                for tb, cy in copies:
-                    key = (t + tb, n, pos)
-                    total[key] = total.get(key, 0) + cy * c
-    orbits, total = orbit_table(params).orbits, {key: c for key, c in total.items() if c}
-    charges = {n: Fraction(n, den) for _, n, _ in total}
-    return FormalSum((StandardLabel(HalfInt(t), charges[n], orbits[pos]), c) for (t, n, pos), c in total.items())
 
 
 def fuse_type3_standard(params: LevelParams, a: HWLabel, b: StandardLabel) -> FormalSum:
@@ -320,82 +280,124 @@ def fuse_type3_type3(params: LevelParams, a: HWLabel, b: HWLabel) -> FormalSum:
 # General fusion via resolutions
 
 
-def _zone(fs: FormalSum, top: int, width: int) -> FormalSum:
-    """The terms of fs at flows in (top - width, top]; empty once fs has telescoped."""
-    return fs.restrict(lambda lab: 2 * (top - width) < lab.ell.twice <= 2 * top)
+def _numerator(params: LevelParams, a: HWLabel, scale: int) -> list:
+    """a's resolution times (1 - εq^P), ε = (-1)^v and q one unit of flow:
+    the head, the head one period up with sign -ε, and the block, as (twice
+    flow, charge numerator over 6v * scale, orbit position, coefficient),
+    a's flow (half-integral or not) folded into the twice flow."""
+    head, block = series_of(params, a.lam)
+    up, eps = 6 * params.v, (-1) ** params.v
+    shifted = tuple((t + up, n, pos, -eps * c) for t, n, pos, c in head)
+    return [(t + a.ell.twice, n * scale, pos, c) for t, n, pos, c in head + shifted + block]
+
+
+def _product(u: int, v: int, xs, ys, den: int, width: int) -> dict[int, int]:
+    """The sum of cx * cy * fuse_standard(x, y) over the terms x of xs and y of
+    ys, each (twice flow, charge numerator over den, orbit position, coeff),
+    on integer keys t * width + n * n_orbits + pos: twice the flow t, the
+    charge numerator n mod den and the orbit position (rows: `_rows_at`)."""
+    norb = len(_orbit_table(u, v).orbits)
+    kappa_den = (2 * u - 3 * v) * (den // (6 * v))  # kappa * den, kappa = (2u - 3v) / 6v
+    classes = [(2 * step * width, mult * kappa_den) for step, mult in STANDARD_CLASSES]
+    total: dict[int, int] = {}
+    for ty, ny, ib, cy in ys:
+        for tx, nx, ia, cx in xs:
+            t, n, cxy = (tx + ty) * width, nx + ny, cx * cy
+            for (dt, dn), (positions, coeffs) in zip(classes, _rows_at(u, v, ia, ib)):
+                k0 = t + dt + (n + dn) % den * norb
+                for pos, c in zip(positions, coeffs):
+                    total[k0 + pos] = total.get(k0 + pos, 0) + cxy * c
+    return total
+
+
+def _divide(terms: dict[int, int], step: int, eps: int, times: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The quotient of terms by (1 - eps * s)^times, s adding `step` to a key,
+    and the remainder of the first division that is not exact.  Keys equal
+    mod step form a chain, along which Q[k] = terms[k] + eps * Q[k - step]
+    from its first key to its last; a division is exact when every chain
+    ends at 0, and otherwise leaves eps * Q one step past each chain's end."""
+    for _ in range(times):
+        chains, quotient, remainder = {}, {}, {}  # chains: key mod step -> its keys
+        for key, c in terms.items():
+            if c:
+                chains.setdefault(key % step, []).append(key)
+        for keys in chains.values():
+            q, last = 0, max(keys)
+            for key in range(min(keys), last + 1, step):
+                q = terms.get(key, 0) + eps * q
+                if q:
+                    quotient[key] = q
+            if q:
+                remainder[last + step] = eps * q
+        if remainder:
+            return quotient, remainder
+        terms = quotient
+    return terms, {}
 
 
 def fuse_general(params: LevelParams, a: HWLabel, b, depth: int | None = None) -> FormalSum:
     """Grothendieck fusion of a highest-weight label `a` with a highest-weight
-    or standard label `b`, computed from resolutions and telescope collection.
+    or standard label `b`, from resolutions by standard labels.
 
-    b is resolved once (a standard b is its own one-term resolution) and
-    each distinct flow-0 term of that is fused once with a's resolution;
-    flowed into place, the copies make one product.  That product is
-    settled cut at a shallow and at a deep top: nonsimple standard terms
-    are re-expressed through their exact sequences, and the result must
-    telescope within the given depth and agree between the two cuts.
-    `fuse` dispatches every other mix of labels.
+    A resolution is H + B / (1 - εq^P): a finite head H and a block B that
+    repeats every P = 3v flows with sign ε = (-1)^v (`labels._series`).  With
+    the numerators S = H (1 - εq^P) + B, a x b is S_a b / (1 - εq^P) for a
+    standard b, its own resolution, and S_a S_b / (1 - εq^P)^2 otherwise.
+    The numerator is fused on integer keys (`_product`) and divided exactly
+    along flow (`_divide`).  If the quotient is not exact, the numerator's
+    nonsimple standard terms are rewritten through their exact sequences
+    (`rewrite_gaps`) and it is divided again; NotStabilisedError if that is
+    not exact either.  `depth` must be >= 1 and does not change the answer.
     """
     if not isinstance(a, HWLabel):
         raise LabelError(f"fuse_general takes a highest-weight label first, not {a}")
     if not isinstance(b, (HWLabel, StandardLabel)):
         raise LabelError(f"fusion takes highest-weight or standard labels, not {b}")
-    v = params.v
-    if depth is None:
-        depth = 9 * v
-    if depth < 1:
+    if depth is not None and depth < 1:
         raise LabelError("depth must be >= 1")
-    # resolutions live in the integral-flow sector; pull half units out front
-    half = HalfInt.of(HALF)
-    shift_back = HalfInt.of(0)
-    if not a.ell.is_integer:
-        a = HWLabel(a.ell - half, a.lam)
-        shift_back = shift_back + half
-    if isinstance(b, HWLabel) and not b.ell.is_integer:
-        b = HWLabel(b.ell - half, b.lam)
-        shift_back = shift_back + half
-    if shift_back.twice:
-        return fuse_general(params, a, b, depth).shifted(params, shift_back)
-
-    flow_a, flow_b = a.ell.twice // 2, b.ell.twice // 2
-    period = 3 * v
-    margin = 4
-    top1 = flow_a + flow_b + 2 + depth
-    top2 = top1 + period
-    # fuse_standard lowers flow by at most 1, so the resolution terms each cut
-    # below leaves out only reach output flows >= top2 + 4: the product is
-    # exact at flows <= top2, and cut at top1 it is what a shallower one gives
+    u, v = params.u, params.v
     if isinstance(b, StandardLabel):
-        res_b = FormalSum.lone(b)
+        den = math.lcm(6 * v, b.j.denominator)
+        ys, times = [(b.ell.twice, b.j.numerator * (den // b.j.denominator), _position(params, b.orbit), 1)], 1
     else:
-        res_b = resolution(params, b, top2 - flow_a - flow_b + margin)
-    product = _resolved_product(params, a, res_b, lambda flow: max(top2 - flow - flow_a + margin, 1))
+        den, ys, times = 6 * v, _numerator(params, b, 1), 2
+    orbits, surv = orbit_table(params).orbits, _enumerate_surv(u, v)
+    # a key is t * width + chain: chains below `hw` are the (charge, orbit)
+    # pairs of standard labels, those from `hw` on the weight labels of surv
+    hw = den * len(orbits)
+    width = hw + len(surv)
+    step, eps = 6 * v * width, (-1) ** v
 
-    def settle(top: int) -> FormalSum:
-        raw = product.restrict(lambda lab: lab.ell.twice <= 2 * top)
-        if not _zone(raw, top, period):
-            return raw
-        safe_top = top - margin
-        rewritten = rewrite_gaps(params, raw).restrict(lambda lab: lab.ell.twice <= 2 * safe_top)
-        unsettled = _zone(rewritten, safe_top, period)
-        if unsettled:
+    def to_labels(terms: dict[int, int]) -> FormalSum:
+        out = FormalSum()
+        for key, c in terms.items():
+            t, chain = divmod(key, width)
+            if chain >= hw:
+                out._add(HWLabel(HalfInt(t), surv[chain - hw]), c)
+            else:
+                n, pos = divmod(chain, len(orbits))
+                out._add(StandardLabel(HalfInt(t), Fraction(n, den), orbits[pos]), c)
+        return out
+
+    def to_keys(terms: FormalSum) -> dict[int, int]:
+        out = {}
+        for x, c in terms.items():
+            if isinstance(x, HWLabel):
+                chain = hw + bisect_left(surv, x.lam)
+            else:
+                chain = x.j.numerator * (den // x.j.denominator) * len(orbits) + _position(params, x.orbit)
+            out[x.ell.twice * width + chain] = c
+        return out
+
+    numerator = _product(u, v, _numerator(params, a, den // (6 * v)), ys, den, width)
+    quotient, remainder = _divide(numerator, step, eps, times)
+    if remainder:
+        quotient, remainder = _divide(to_keys(rewrite_gaps(params, to_labels(numerator))), step, eps, times)
+        if remainder:
             raise NotStabilisedError(
-                f"fusion of {a} and {b} did not telescope by flow {top}; raise the depth:",
-                params, a, b, depth, top, unsettled,
+                f"fusion of {a} and {b} does not divide exactly by (1 - eps q^P):", params, a, b, to_labels(remainder)
             )
-        return rewritten
-
-    out1 = settle(top1)
-    out2 = settle(top2)
-    window = top1 - period - margin
-    r1 = out1.restrict(lambda lab: lab.ell.twice <= 2 * window)
-    r2 = out2.restrict(lambda lab: lab.ell.twice <= 2 * window)
-    if r1 != r2 or out2 != r2:
-        raise NotStabilisedError(
-            f"fusion of {a} and {b} is not stable at depth {depth}:", params, a, b, depth, top2, out2 - r1
-        )
-    return r1
+    return to_labels(quotient)
 
 
 def fuse(params: LevelParams, a, b, depth: int | None = None) -> FormalSum:

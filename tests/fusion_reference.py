@@ -18,16 +18,48 @@ independent references those fast paths are checked against:
 `fusion_oracle_suite` is the fusion-oracle suite as it was before it read
 the closed form as integer gathers: one `fuse_standard` per (a, b) pair,
 its terms placed label by label into a (b, class, orbit) array.
+
+`resolution` is the resolution of a highest-weight module by its three
+loops, cut at a depth, and `fuse_general` the depth-truncated fusion that
+preceded the exact division by (1 - εq^P): both resolutions cut about 12v
+flows deep, the product settled at two tops, a 3v-wide zone checked for
+telescoping and two windows compared.  It raises
+`DepthNotStabilisedError` when a cut has not telescoped.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from bpfusion import verlinde, w3modular
-from bpfusion.labels import HalfInt, _mod1, standard_label
-from bpfusion.levels import LabelError, RSLabel, enumerate_infwts, orbit_index, orbit_table
+from bpfusion.labels import (
+    FormalSum,
+    HalfInt,
+    HWLabel,
+    StandardLabel,
+    _mod1,
+    hw_label,
+    nonsimple_standard,
+    rewrite_gaps,
+    standard_label,
+)
+from bpfusion.levels import (
+    LabelError,
+    RSLabel,
+    _enumerate_surv,
+    check_surv,
+    enumerate_infwts,
+    level_params,
+    orbit_index,
+    orbit_table,
+    sigma,
+    sigma_inv,
+)
+from bpfusion.verlinde import STANDARD_CLASSES, NotStabilisedError, _standard_rows
 from bpfusion.sl3 import WEYL, _mat_apply, dominant, integrable, ip, weight_multiplicities
 
 
@@ -183,3 +215,213 @@ def fusion_oracle_suite(params, tol=None, window=2):
             got = verlinde.oracle_integers(params, a, b, values[ib, i : i + 1], lambda _: candidate_at(i))
             return False, f"oracle mismatch at {candidate_at(i)}: {got[0]} vs {want[ib, i]}"
     return True, f"{n * n * checked.size} coefficients"
+
+
+# ---------------------------------------------------------------------------
+# Resolutions by their loops, and depth-truncated fusion
+
+
+def resolution(params, lam, depth: int) -> FormalSum:
+    """Alternating sum of nonsimple standard labels resolving a flowed
+    highest-weight module, truncated at flow index <= base flow + depth.
+
+    Accepts a bare weight label (flow 0) or a normalised HWLabel.
+    """
+    if depth < 1:
+        raise LabelError("depth must be >= 1")
+    if isinstance(lam, HWLabel):
+        base = lam
+    else:
+        base = hw_label(params, lam, 0)
+    if not base.ell.is_integer:
+        raise LabelError("resolutions are taken in the integral-flow sector")
+    shift = base.ell.twice // 2
+    lam = base.lam
+    v = params.v
+    r3 = lam.r
+    s0, s1, s2 = lam.s
+    cut = shift + depth
+
+    terms: list[tuple[RSLabel, int, int]] = []  # (interior label, flow, sign)
+
+    for m in range(s2):
+        terms.append((RSLabel(r3, (s0, s1 + m + 1, s2 - m - 1)), m + shift, (-1) ** m))
+
+    cycles = (sigma_inv(RSLabel(r3, (0, 0, 0))).r, r3, sigma(RSLabel(r3, (0, 0, 0))).r)
+
+    if s0 > 0:
+        n = 0
+        while True:
+            base_flow = 3 * n * v + s2 + 1 + shift
+            if base_flow > cut:
+                break
+            for m in range(s0):
+                sgn = (-1) ** ((s2 + m + n * v) % 2)
+                svals = (v - 2 - s0, m, s0 - m - 1)
+                for i, rpart in enumerate(cycles):
+                    flow = m + (3 * n + i) * v + s2 + 1 + shift
+                    if flow > cut:
+                        continue
+                    isgn = sgn * ((-1) ** (v % 2) if i == 1 else 1)
+                    terms.append((RSLabel(rpart, svals), flow, isgn))
+            n += 1
+
+    n = 1
+    while True:
+        base_flow = (3 * n - 2) * v - s1 - 1 + shift
+        if base_flow > cut:
+            break
+        for m in range(v - 2 - s0):
+            sgn = -((-1) ** ((s1 + m + n * v) % 2))
+            svals = (s0, m, v - 3 - s0 - m)
+            for i, rpart in enumerate((cycles[2], cycles[0], cycles[1])):
+                flow = m + (3 * n - 2 + i) * v - s1 - 1 + shift
+                if flow > cut:
+                    continue
+                isgn = sgn * ((-1) ** (v % 2) if i == 1 else 1)
+                terms.append((RSLabel(rpart, svals), flow, isgn))
+        n += 1
+
+    return FormalSum(
+        (nonsimple_standard(params, inner, flow), sgn) for inner, flow, sgn in terms
+    )
+
+
+class DepthNotStabilisedError(NotStabilisedError):
+    """A depth-truncated fusion failed to settle; raise the depth.
+
+    Carries the level pair `uv`, the inputs `a` and `b`, the `depth`, the
+    flow `top` the failed pass reached, and `terms`, the nonzero terms of
+    the window that did not settle.
+    """
+
+    def __init__(self, message: str, params, a, b, depth: int, top: int, terms: FormalSum):
+        self.uv = (params.u, params.v)
+        self.a, self.b, self.depth, self.top, self.terms = a, b, depth, top, terms
+        shown = FormalSum(list(terms)[: verlinde.UNSETTLED_SHOWN])
+        more = f" + ... ({len(terms)} terms in all)" if len(terms) > len(shown) else ""
+        RuntimeError.__init__(
+            self,
+            f"{message} (u,v)=({params.u},{params.v}), depth {depth}, top {top}; "
+            f"unsettled terms {shown}{more}",
+        )
+
+
+@lru_cache(maxsize=None)
+def _resolution_ints(u: int, v: int, lam: int, depth: int) -> tuple:
+    """resolution(params, I[lam]^0, depth), lam a position in `enumerate_surv`,
+    as (twice flow, charge numerator over 6v, orbit position, coefficient)."""
+    params = level_params(u, v)
+    position = orbit_table(params).position
+    res = resolution(params, HWLabel(HalfInt(0), _enumerate_surv(u, v)[lam]), depth)
+    return tuple(
+        (x.ell.twice, x.j.numerator * 6 * v // x.j.denominator, position[x.orbit], c) for x, c in res.items()
+    )
+
+
+@lru_cache(maxsize=None)
+def _rows(u: int, v: int, ia: int, ib: int) -> tuple:
+    """`verlinde._standard_rows`, which reads `w3_fusion`, keyed on ints."""
+    return _standard_rows(level_params(u, v), ia, ib)
+
+
+def _resolved_product(params, a: HWLabel, res_b: FormalSum, depth_at) -> FormalSum:
+    """The sum of cx * cy * fuse_standard(x, y) over the terms y, cy of res_b
+    and x, cx of resolution(params, a, depth_at(f)), f the lowest flow at
+    which y's charge and orbit occur in res_b, on integer keys."""
+    u, v = params.u, params.v
+    den = math.lcm(6 * v, *(y.j.denominator for y, _ in res_b.items()))
+    scale = den // (6 * v)
+    classes = [(2 * step, mult * (params.kappa * den).numerator) for step, mult in STANDARD_CLASSES]
+    lam, a_twice = bisect_left(_enumerate_surv(u, v), check_surv(params, a.lam)), a.ell.twice
+    position = orbit_table(params).position
+    placed: dict = {}  # (charge, orbit) of a term of res_b -> [(twice its flow, coeff)]
+    for y, cy in res_b.items():
+        placed.setdefault((y.j, y.orbit), []).append((y.ell.twice, cy))
+    total: dict[tuple[int, int, int], int] = {}
+    for (j, orb_b), copies in placed.items():
+        num_b, ib = j.numerator * (den // j.denominator), position[orb_b]
+        part: dict[tuple[int, int, int], int] = {}
+        for tx, nx, ia, cx in _resolution_ints(u, v, lam, depth_at(min(t for t, _ in copies) // 2)):
+            tx, num = tx + a_twice, nx * scale + num_b
+            for (dt, dn), row in zip(classes, _rows(u, v, ia, ib)):
+                t, n = tx + dt, (num + dn) % den
+                for pos, c in row:
+                    key = (t, n, pos)
+                    part[key] = part.get(key, 0) + cx * c
+        for (t, n, pos), c in part.items():
+            if c:
+                for tb, cy in copies:
+                    key = (t + tb, n, pos)
+                    total[key] = total.get(key, 0) + cy * c
+    orbits, total = orbit_table(params).orbits, {key: c for key, c in total.items() if c}
+    charges = {n: Fraction(n, den) for _, n, _ in total}
+    return FormalSum((StandardLabel(HalfInt(t), charges[n], orbits[pos]), c) for (t, n, pos), c in total.items())
+
+
+def _zone(fs: FormalSum, top: int, width: int) -> FormalSum:
+    """The terms of fs at flows in (top - width, top]; empty once fs has telescoped."""
+    return fs.restrict(lambda lab: 2 * (top - width) < lab.ell.twice <= 2 * top)
+
+
+def fuse_general(params, a: HWLabel, b, depth: int | None = None) -> FormalSum:
+    """Fusion of a highest-weight label `a` with a highest-weight or standard
+    label `b` from depth-truncated resolutions: the product settled cut at a
+    shallow and at a deep top must telescope within the given depth and
+    agree between the two cuts."""
+    if not isinstance(a, HWLabel):
+        raise LabelError(f"fuse_general takes a highest-weight label first, not {a}")
+    if not isinstance(b, (HWLabel, StandardLabel)):
+        raise LabelError(f"fusion takes highest-weight or standard labels, not {b}")
+    v = params.v
+    if depth is None:
+        depth = 9 * v
+    if depth < 1:
+        raise LabelError("depth must be >= 1")
+    # resolutions live in the integral-flow sector; pull half units out front
+    half = HalfInt.of(Fraction(1, 2))
+    shift_back = HalfInt.of(0)
+    if not a.ell.is_integer:
+        a = HWLabel(a.ell - half, a.lam)
+        shift_back = shift_back + half
+    if isinstance(b, HWLabel) and not b.ell.is_integer:
+        b = HWLabel(b.ell - half, b.lam)
+        shift_back = shift_back + half
+    if shift_back.twice:
+        return fuse_general(params, a, b, depth).shifted(params, shift_back)
+
+    flow_a, flow_b = a.ell.twice // 2, b.ell.twice // 2
+    period = 3 * v
+    margin = 4
+    top1 = flow_a + flow_b + 2 + depth
+    top2 = top1 + period
+    if isinstance(b, StandardLabel):
+        res_b = FormalSum.lone(b)
+    else:
+        res_b = resolution(params, b, top2 - flow_a - flow_b + margin)
+    product = _resolved_product(params, a, res_b, lambda flow: max(top2 - flow - flow_a + margin, 1))
+
+    def settle(top: int) -> FormalSum:
+        raw = product.restrict(lambda lab: lab.ell.twice <= 2 * top)
+        if not _zone(raw, top, period):
+            return raw
+        safe_top = top - margin
+        rewritten = rewrite_gaps(params, raw).restrict(lambda lab: lab.ell.twice <= 2 * safe_top)
+        unsettled = _zone(rewritten, safe_top, period)
+        if unsettled:
+            raise DepthNotStabilisedError(
+                f"fusion of {a} and {b} did not telescope by flow {top}; raise the depth:",
+                params, a, b, depth, top, unsettled,
+            )
+        return rewritten
+
+    out1 = settle(top1)
+    out2 = settle(top2)
+    window = top1 - period - margin
+    r1 = out1.restrict(lambda lab: lab.ell.twice <= 2 * window)
+    r2 = out2.restrict(lambda lab: lab.ell.twice <= 2 * window)
+    if r1 != r2 or out2 != r2:
+        raise DepthNotStabilisedError(
+            f"fusion of {a} and {b} is not stable at depth {depth}:", params, a, b, depth, top2, out2 - r1
+        )
+    return r1

@@ -4,15 +4,15 @@ A label hashes its fields once and keeps the value, so `Fraction.__hash__`
 (reached only through a standard label's charge) runs at most once per
 label built.  W3 fusion coefficients are read off the two sl3 fusion
 tables, so the Kac-Walton entry point, which re-checks integrability on
-every call, is never reached.  The resolution path resolves its second
-label once, and its first label once per distinct flow-0 term of that
-resolution (once in all against a standard label); those counts are
-taken on cleared resolution and row tables, which otherwise keep every
-resolution and W3 row for the rest of the process.  It builds that
-product on integer keys: `fuse_standard` is never called, each distinct
-pair of orbits has its W3 rows read once, and labels are built only for
-the terms that survive.
+every call, is never reached.  The resolution path builds the series
+(head and periodic block) of each highest-weight label once; that count
+is taken on cleared series and row tables, which otherwise keep every
+series and W3 row for the rest of the process.  It builds the product on
+integer keys: `fuse_standard` is never called, each distinct pair of
+orbits has its W3 rows read once, and labels are built only for the
+terms that survive.
 """
+import functools
 import sys
 from fractions import Fraction
 
@@ -97,42 +97,35 @@ def test_highest_weight_pair_reads_few_w3_coefficients(monkeypatch, first, secon
     assert counts["w3_fusion"] <= 60, counts
 
 
-def _counting_resolution(monkeypatch, seen):
-    """Record the (label, result) of every `resolution` call in bpfusion,
-    after clearing the tables that keep resolutions and W3 rows."""
-    verlinde._resolution_ints.cache_clear()
+def _counting_series(monkeypatch, built):
+    """Record the label of every series build (`labels._series` misses),
+    after clearing the tables that keep series and W3 rows."""
+    labels._series.cache_clear()
     verlinde._rows_at.cache_clear()
-    original = labels.resolution
+    build = labels._series.__wrapped__
 
-    def counted(params, lam, depth):
-        out = original(params, lam, depth)
-        seen.append((lam, out))
-        return out
+    def counted(u, v, lam):
+        built.append(levels.enumerate_surv(level_params(u, v))[lam])
+        return build(u, v, lam)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "bpfusion" and module.__dict__.get("resolution") is original:
-            monkeypatch.setattr(module, "resolution", counted)
+    monkeypatch.setattr(labels, "_series", functools.lru_cache(maxsize=None)(counted))
 
 
-def test_one_resolution_against_a_standard_label(monkeypatch):
+def test_one_series_against_a_standard_label(monkeypatch):
     p = level_params(7, 5)
     a = parse_label(p, "I[1,1,2;0,1,1]^1/2")
     b = parse_label(p, "R~[5/97;[[1,1,2;0,1,1]]]^1")
-    seen = []
-    _counting_resolution(monkeypatch, seen)
+    built = []
+    _counting_series(monkeypatch, built)
     fuse(p, a, b)
-    assert len(seen) == 1, [str(lam) for lam, _ in seen]
+    assert built == [a.lam], [str(lam) for lam in built]
 
 
-def test_one_resolution_per_distinct_base_term_of_the_second_label(monkeypatch):
+def test_one_series_per_highest_weight_label(monkeypatch):
     p = level_params(5, 4)
     a = parse_label(p, "I[2,0,0;1,-1,1]^3")
     b = parse_label(p, "I[1,0,1;1,-1,1]^1")
-    seen = []
-    _counting_resolution(monkeypatch, seen)
+    built = []
+    _counting_series(monkeypatch, built)
     fuse(p, a, b)
-    of_b = [res for lam, res in seen if lam == b]
-    assert len(of_b) == 1
-    base_terms = {(term.j, term.orbit) for term, _ in of_b[0].items()}
-    assert len(base_terms) == 3
-    assert len(seen) == 1 + len(base_terms), [str(lam) for lam, _ in seen]
+    assert sorted(built) == sorted([a.lam, b.lam]), [str(lam) for lam in built]

@@ -1,19 +1,23 @@
-"""The resolution-path product on integer keys against term-by-term fusion,
-over random coprime 3 <= u, v <= 8, charges k/97 and flows -2..2.
+"""The resolution path on integer keys against term-by-term fusion and
+against the depth-truncated reference, over random coprime 3 <= u, v <= 8,
+charges k/97 and flows -2..2.
 
-`fuse_general` fuses resolutions on integer keys (twice the flow, the
-charge numerator over one per-call denominator, the orbit position) and
-reads each pair of orbits' W3 rows once.  That product must equal the
-sum of `fuse_standard` over the same resolution terms, and
-`fuse_standard`, now read off those rows, must equal the per-orbit loop
-over `w3_fusion_support` and `w3_fusion` it replaced, kept here as the
-reference.
+A resolution is a finite head plus one block that repeats every P = 3v
+flows with sign ε = (-1)^v; `labels._series` keeps the two per label, and
+`labels.resolution` is the flow cut of that series.  `fuse_general`
+multiplies the numerators (the resolutions times (1 - εq^P)) on integer
+keys (`_product`), reading each pair of orbits' W3 rows once (`_rows_at`),
+and divides exactly by (1 - εq^P) (`_divide`).  The product must equal
+the sum of `fuse_standard` over the same terms; `fuse_standard`, read off
+`_standard_rows`, must equal the per-orbit loop it replaced; and the
+answer must equal the two-top, depth-truncated `fuse_general` of
+`fusion_reference`, whose resolutions come from the three loops.
 
-The resolutions and rows it reads live in two process-wide tables keyed
-on ints, `_resolution_ints` and `_rows_at`; their entries must be the
-resolutions they stand for, and threads filling them from empty must
-agree.
+The series and the rows live in process-wide tables keyed on ints; their
+entries must be what they stand for, and threads filling them from empty
+must agree.
 """
+import math
 import random
 import sys
 import threading
@@ -21,19 +25,39 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
 
+import fusion_reference as reference
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpfusion import verlinde
+from bpfusion import labels, verlinde
 from bpfusion.labels import FormalSum, HalfInt, HWLabel, StandardLabel, hw_label, resolution, standard_label
-from bpfusion.levels import RSLabel, enumerate_infwts, enumerate_surv, level_params, orbit_index, orbit_table
-from bpfusion.verlinde import _resolution_ints, _resolved_product, fuse, fuse_standard
+from bpfusion.levels import (
+    LabelError,
+    RSLabel,
+    enumerate_infwts,
+    enumerate_surv,
+    level_params,
+    orbit_index,
+    orbit_table,
+)
+from bpfusion.verlinde import (
+    NotStabilisedError,
+    _numerator,
+    _product,
+    _rows_at,
+    _standard_rows,
+    fuse,
+    fuse_general,
+    fuse_standard,
+)
 from bpfusion.w3modular import w3_fusion, w3_fusion_support
 
 PAIRS = [(u, v) for u in range(3, 9) for v in range(3, 9) if gcd(u, v) == 1]
+SMALL_PAIRS = [(u, v) for u, v in PAIRS if u <= 7 and v <= 5]  # up to (7,5)
 levels = st.sampled_from(PAIRS).map(lambda uv: level_params(*uv))
+small_levels = st.sampled_from(SMALL_PAIRS).map(lambda uv: level_params(*uv))
 charges = st.integers(0, 96).map(lambda k: Fraction(k, 97))
 flows = st.integers(-4, 4).map(lambda twice: Fraction(twice, 2))
 
@@ -78,6 +102,25 @@ def _reference_fuse_standard(p, a: StandardLabel, b: StandardLabel) -> FormalSum
     return FormalSum.combine(parts)
 
 
+def _ints(p, fs: FormalSum, den: int) -> list:
+    """The terms of a sum of standard labels as (twice flow, charge numerator
+    over den, orbit position, coefficient)."""
+    position = orbit_table(p).position
+    return [(x.ell.twice, x.j.numerator * (den // x.j.denominator), position[x.orbit], c) for x, c in fs.items()]
+
+
+def _labels(p, terms: dict, den: int) -> FormalSum:
+    """A `_product` dict back as standard labels, by the key layout of its docstring."""
+    orbits = orbit_table(p).orbits
+    width = den * len(orbits) + len(enumerate_surv(p))
+    out = []
+    for key, c in terms.items():
+        t, chain = divmod(key, width)
+        n, pos = divmod(chain, len(orbits))
+        out.append((FormalSum.lone(StandardLabel(HalfInt(t), Fraction(n, den), orbits[pos])), c))
+    return FormalSum.combine(out)
+
+
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_fuse_standard_matches_the_per_orbit_loop(data):
@@ -98,81 +141,150 @@ def test_integer_product_matches_standard_fusion_term_by_term(data):
     expected = FormalSum.combine(
         (fuse_standard(p, x, y), cx * cy) for x, cx in res_a.items() for y, cy in res_b.items()
     )
-    assert _resolved_product(p, a, res_b, lambda flow: depth) == expected
+    den = math.lcm(6 * p.v, 97)
+    width = den * len(enumerate_infwts(p)) + len(enumerate_surv(p))
+    product = _product(p.u, p.v, _ints(p, res_a, den), _ints(p, res_b, den), den, width)
+    assert _labels(p, product, den) == expected
 
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
-def test_each_flow_zero_term_meets_the_resolution_for_its_lowest_flow(data):
+def test_the_numerator_is_the_resolution_times_one_minus_eps_q_to_the_period(data):
     p = data.draw(levels)
     a = hw_label(p, data.draw(st.sampled_from(enumerate_surv(p))), data.draw(st.integers(-2, 2)))
-    depth = data.draw(st.integers(p.v, 4 * p.v))
-
-    def depth_at(flow):
-        return max(depth - flow, 1)
-
-    res_b = _resolved(data, p)
-    lowest = {}
-    for y, _ in res_b.items():
-        key = (y.j, y.orbit)
-        lowest[key] = min(y.ell.twice // 2, lowest.get(key, y.ell.twice // 2))
-    expected = FormalSum.combine(
-        (fuse_standard(p, x, y), cx * cy)
-        for y, cy in res_b.items()
-        for x, cx in resolution(p, a, depth_at(lowest[y.j, y.orbit])).items()
+    period, eps = 3 * p.v, (-1) ** p.v
+    # every numerator term lies below two periods up, so this cut holds them all
+    depth = data.draw(st.integers(2 * period, 4 * period))
+    res = resolution(p, a, depth)
+    expected = (res - eps * res.shifted(p, period)).restrict(lambda x: x.ell.twice <= a.ell.twice + 2 * depth)
+    got = FormalSum.combine(
+        (FormalSum.lone(StandardLabel(HalfInt(t), Fraction(n, 6 * p.v), orbit_table(p).orbits[pos])), c)
+        for t, n, pos, c in _numerator(p, a, 1)
     )
-    assert _resolved_product(p, a, res_b, depth_at) == expected
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------
-# The process-wide resolution and row tables
+# Against the depth-truncated reference
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_highest_weight_by_standard_matches_the_reference(data):
+    p = data.draw(small_levels)
+    a = hw_label(p, data.draw(st.sampled_from(enumerate_surv(p))), data.draw(flows))
+    b = _standard(data, p)
+    assert fuse_general(p, a, b) == reference.fuse_general(p, a, b)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_highest_weight_pairs_match_the_reference(data):
+    p = data.draw(small_levels)
+    a = hw_label(p, data.draw(st.sampled_from(enumerate_surv(p))), data.draw(flows))
+    b = hw_label(p, data.draw(st.sampled_from(enumerate_surv(p))), data.draw(flows))
+    assert fuse_general(p, a, b) == reference.fuse_general(p, a, b)
+
+
+@pytest.mark.parametrize("change", ["flip", "drop"])
+@pytest.mark.parametrize(
+    "first,second",
+    [("I[2,0,0;1,-1,1]^3", "R~[5/97;[[1,0,1;1,0,0]]]^1"), ("I[2,0,0;1,-1,1]^3", "I[1,0,1;1,-1,1]^1")],
+    ids=["hw-by-standard", "hw-by-hw"],
+)
+def test_a_perturbed_block_term_fails_or_differs(monkeypatch, change, first, second):
+    """Flipping the sign of one block term of a's series, or dropping it,
+    raises NotStabilisedError or changes the answer, for every block term."""
+    p = level_params(5, 4)
+    a, b = labels.parse_label(p, first), labels.parse_label(p, second)
+    expected = reference.fuse_general(p, a, b)
+    original = labels._series
+    target = original(p.u, p.v, enumerate_surv(p).index(a.lam))
+    for k in range(len(target[1])):
+        head, block = target
+        t, n, pos, c = block[k]
+        changed = block[:k] + (((t, n, pos, -c),) if change == "flip" else ()) + block[k + 1 :]
+
+        def series(u, v, lam, head=head, changed=changed):
+            out = original(u, v, lam)
+            return (head, changed) if out == target else out
+
+        monkeypatch.setattr(labels, "_series", series)
+        try:
+            got = fuse_general(p, a, b)
+        except NotStabilisedError as exc:
+            assert exc.uv == (5, 4) and exc.a == a and exc.b == b and exc.terms
+            text = str(exc)
+            assert text.startswith(f"fusion of {a} and {b} does not divide exactly by (1 - eps q^P):")
+            assert "(u,v)=(5,4); remainder " in text
+            assert str(FormalSum(list(exc.terms)[: verlinde.UNSETTLED_SHOWN])) in text
+        else:
+            assert got != expected, k
+        monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# The process-wide series and row tables
 
 
 @pytest.mark.parametrize("u,v", PAIRS)
-def test_resolution_ints_match_resolution_term_by_term(u, v):
+def test_resolution_is_the_flow_cut_of_its_series(u, v):
+    """labels.resolution, read off the series, against the three loops term
+    by term at every depth 1..4P; half-integer flows are refused alike."""
     p = level_params(u, v)
-    orbits, surv = orbit_table(p).orbits, enumerate_surv(p)
+    surv = enumerate_surv(p)
     rng = random.Random(100 * u + v)
-    for lam in rng.sample(range(len(surv)), min(8, len(surv))):
-        for depth in (1, rng.randint(2, 3 * v), rng.randint(3 * v, 12 * v)):
-            ints = _resolution_ints(u, v, lam, depth)
-            flow = rng.randint(-3, 3)
-            res = resolution(p, HWLabel(HalfInt(2 * flow), surv[lam]), depth)
-            assert len(ints) == len(res)
-            for (twice, num, pos, c), (x, cx) in zip(ints, res.items()):
-                assert x == StandardLabel(HalfInt(twice + 2 * flow), Fraction(num, 6 * v), orbits[pos])
-                assert c == cx
+    for lam in rng.sample(surv, min(6, len(surv))):
+        flow = rng.randint(-3, 3)
+        for depth in range(1, 4 * 3 * v + 1):
+            a = hw_label(p, lam, flow)
+            assert resolution(p, a, depth) == reference.resolution(p, a, depth)
+        half = hw_label(p, lam, Fraction(2 * flow + 1, 2))
+        for resolve in (resolution, reference.resolution):
+            with pytest.raises(LabelError, match="integral-flow sector"):
+                resolve(p, half, 1)
 
 
-def _recorded(monkeypatch, name, calls):
-    """Record the arguments and value of every call of verlinde's `name`."""
-    table = getattr(verlinde, name)
+@pytest.mark.parametrize("u,v", [(u, v) for u, v in PAIRS if v <= 7])
+def test_rows_read_off_the_factors_equal_the_w3_fusion_rows(u, v):
+    p = level_params(u, v)
+    n = len(enumerate_infwts(p))
+    for ia in range(n):
+        for ib in range(n):
+            rows, reference_rows = _rows_at(u, v, ia, ib), _standard_rows(p, ia, ib)
+            assert [dict(zip(*row)) for row in rows] == [dict(row) for row in reference_rows]
+
+
+def _recorded(monkeypatch, module, name, calls):
+    """Record the arguments and value of every call of module's `name`."""
+    table = getattr(module, name)
 
     def recorded(*args):
         out = table(*args)
         calls.append((args, out))
         return out
 
-    monkeypatch.setattr(verlinde, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
 
 
 def test_tables_are_keyed_on_ints_and_hold_tuples(monkeypatch):
     p = level_params(5, 4)
-    rows, resolutions = [], []
-    _recorded(monkeypatch, "_rows_at", rows)
-    _recorded(monkeypatch, "_resolution_ints", resolutions)
+    rows, series = [], []
+    _recorded(monkeypatch, verlinde, "_rows_at", rows)
+    _recorded(monkeypatch, labels, "_series", series)
     a = hw_label(p, RSLabel((1, 0, 1), (1, -1, 1)), 1)
     fuse(p, hw_label(p, RSLabel((2, 0, 0), (1, -1, 1)), 3), a)
     fuse(p, a, standard_label(Fraction(5, 97), enumerate_infwts(p)[3], 1))
-    assert rows and resolutions
-    for args, out in rows + resolutions:
+    assert rows and series
+    for args, out in rows + series:
         assert all(type(x) is int for x in args), args
-        assert type(out) is tuple and all(type(term) is tuple for term in out)
+        assert type(out) is tuple and all(type(part) is tuple for part in out)
     for _, out in rows:
-        assert len(out) == 4
-        assert all(type(x) is int for row in out for pair in row for x in pair)
-    for _, out in resolutions:
-        assert all(len(term) == 4 and all(type(x) is int for x in term) for term in out)
+        assert len(out) == 4 and all(len(row) == 2 for row in out)
+        assert all(type(x) is int for row in out for part in row for x in part)
+    for _, out in series:
+        assert len(out) == 2
+        assert all(len(term) == 4 and all(type(x) is int for x in term) for part in out for term in part)
 
 
 def test_threads_filling_the_tables_from_empty_agree():
@@ -187,7 +299,7 @@ def test_threads_filling_the_tables_from_empty_agree():
         for _ in range(12)
     ] + [(hw_label(p, rng.choice(surv), 0), hw_label(p, rng.choice(surv), 1)) for _ in range(2)]
     expected = [fuse(p, a, b) for a, b in pairs]
-    verlinde._resolution_ints.cache_clear()
+    labels._series.cache_clear()
     verlinde._rows_at.cache_clear()
     barrier = threading.Barrier(4, timeout=60)
 
@@ -204,4 +316,4 @@ def test_threads_filling_the_tables_from_empty_agree():
     finally:
         sys.setswitchinterval(interval)
     assert all(products == expected for products in results)
-    assert verlinde._rows_at.cache_info().currsize and verlinde._resolution_ints.cache_info().currsize
+    assert verlinde._rows_at.cache_info().currsize and labels._series.cache_info().currsize

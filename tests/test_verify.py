@@ -35,7 +35,7 @@ def test_fusion_oracle_passes_at_larger_levels(u, v):
     assert ok, f"fusion-oracle at ({u},{v}): {detail}"
 
 
-@pytest.mark.parametrize("u,v", [(6, 5), (5, 7), (7, 5)])
+@pytest.mark.parametrize("u,v", [(6, 5), (5, 7), (7, 5), (8, 7)])
 def test_telescoping_passes_at_larger_levels(u, v):
     ok, detail = SUITES["telescoping"](level_params(u, v), None)
     assert ok, f"telescoping at ({u},{v}): {detail}"

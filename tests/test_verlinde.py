@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 
+import fusion_reference as reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -523,16 +524,19 @@ class TestGeneralFusion:
         assert fuse_general(p, x, x) == fuse_type3_type3(p, x, x)
 
     def test_shallow_depth_raises_rather_than_truncating(self):
+        # the depth-truncated reference raises at a shallow depth; fuse has
+        # no depth to cut at and gives the reference's default-depth answer
         from bpfusion.verlinde import NotStabilisedError
 
         p = level_params(3, 4)
         t2a = hw_label(p, lab((0, 0, 0), (1, 0, 0)), 0)
         t2b = hw_label(p, lab((0, 0, 0), (1, -1, 1)), 0)
-        full = fuse_general(p, t2a, t2b)
+        full = reference.fuse_general(p, t2a, t2b)
         for depth in (1, 3, 8):
             with pytest.raises(NotStabilisedError):
-                fuse_general(p, t2a, t2b, depth=depth)
-        assert fuse_general(p, t2a, t2b, depth=14) == full
+                reference.fuse_general(p, t2a, t2b, depth=depth)
+            assert fuse_general(p, t2a, t2b, depth=depth) == full
+        assert reference.fuse_general(p, t2a, t2b, depth=14) == full
 
     @pytest.mark.parametrize("depth", [0, -100])
     def test_depth_below_one_is_rejected(self, depth):
@@ -556,7 +560,7 @@ class TestGeneralFusion:
         t2b = hw_label(p, lab((0, 0, 0), (1, -1, 1)), 0)
         # the first pass fails to telescope
         with pytest.raises(NotStabilisedError) as info:
-            fuse_general(p, t2a, t2b, depth=3)
+            reference.fuse_general(p, t2a, t2b, depth=3)
         err = info.value
         assert (err.uv, err.a, err.b, err.depth, err.top) == ((3, 4), t2a, t2b, 3, 6)
         assert err.terms == FormalSum(
@@ -569,13 +573,16 @@ class TestGeneralFusion:
         t1 = hw_label(p, lab((0, 0, 0), (0, 0, 1)), 0)
         b = standard_label(Fraction(1, 7), orbit_of(p, lab((0, 0, 0), (0, 0, 1))), 0)
         with pytest.raises(NotStabilisedError) as info:
-            fuse_general(p, t1, b, depth=11)
+            reference.fuse_general(p, t1, b, depth=11)
         err = info.value
         assert (err.uv, err.a, err.b, err.depth, err.top) == ((3, 4), t1, b, 11, 25)
         assert err.terms and all(c for _, c in err.terms)
         text = str(err)
         assert text.startswith(f"fusion of {t1} and {b} is not stable at depth 11")
         assert "(u,v)=(3,4), depth 11, top 25" in text and str(err.terms) in text
+        # at those depths fuse gives the reference's default-depth answers
+        assert fuse_general(p, t2a, t2b, depth=3) == reference.fuse_general(p, t2a, t2b)
+        assert fuse_general(p, t1, b, depth=11) == reference.fuse_general(p, t1, b)
 
     def test_dispatcher_routes(self):
         p = level_params(3, 4)
@@ -634,15 +641,15 @@ class TestGeneralFusion:
 
         p = level_params(5, 4)
         a, b = parse_label(p, "I[2,0,0;1,-1,1]^3"), parse_label(p, "I[1,0,1;1,-1,1]^1")
-        flows = [t.ell.twice // 2 for t, _ in resolution(p, b, 12).items() if t.j == Fraction(3, 4)]
+        flows = [t.ell.twice // 2 for t, _ in reference.resolution(p, b, 12).items() if t.j == Fraction(3, 4)]
         assert flows.index(11) < flows.index(5)
         with pytest.raises(NotStabilisedError) as info:
-            fuse_general(p, a, b, depth=5)
+            reference.fuse_general(p, a, b, depth=5)
         err = info.value
         # uncached reference: both resolutions deep, cut at top, gaps
         # rewritten, then the zone of the last period below top - 4
         top, period = err.top, 3 * p.v
-        res_a, res_b = resolution(p, a, top + period), resolution(p, b, top + period)
+        res_a, res_b = reference.resolution(p, a, top + period), reference.resolution(p, b, top + period)
         product = FormalSum.combine(
             (fuse_standard(p, x, y), cx * cy) for x, cx in res_a.items() for y, cy in res_b.items()
         )
@@ -652,6 +659,8 @@ class TestGeneralFusion:
         assert settled == FormalSum(
             [(parse_label(p, "I[1,1,0;0,0,1]^3"), 1), (parse_label(p, "I[1,0,1;0,-1,2]^4"), 1)]
         )
+        # at that depth fuse gives the reference's default-depth answer
+        assert fuse_general(p, a, b, depth=5) == reference.fuse_general(p, a, b)
 
 
 class TestGeneralFusionConsistency:
