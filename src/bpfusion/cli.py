@@ -263,13 +263,15 @@ def cmd_simple_currents(params: LevelParams, args) -> dict:
 
 
 def cmd_verify(params: LevelParams, args) -> dict:
+    text, source = (args.tol, "--tol") if args.tol is not None else (os.environ.get("BPFUSION_TOL"), "BPFUSION_TOL")
+    tol = DEFAULT_TOL if text is None else parse_tol(text, source)
     names = [args.suite] if args.suite else sorted(verify_mod.SUITES)
     results = {}
     ok = True
     for name in names:
         if name not in verify_mod.SUITES:
             raise LabelError(f"unknown suite {name!r}; choose from {sorted(verify_mod.SUITES)}")
-        passed, detail = verify_mod.SUITES[name](params, args.tol)
+        passed, detail = verify_mod.SUITES[name](params, tol)
         results[name] = {"pass": passed, "detail": detail}
         ok = ok and passed
     return {"ok": ok, "suites": results}
@@ -303,10 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
         if nlabels:
             p.add_argument("labels", nargs=nlabels, metavar="LABEL")
         p.add_argument("--table", action="store_true")
-        p.add_argument("--tol", default=None)
-        p.add_argument("--depth", type=int, default=None, help=DEPTH_HELP.get(name))
         p.add_argument("--out", default=None)
+        if name in DEPTH_HELP:
+            p.add_argument("--depth", type=int, default=None, help=DEPTH_HELP[name])
         if name == "verify":
+            p.add_argument("--tol", default=None)
             p.add_argument("--suite", default=None)
     return parser
 
@@ -325,12 +328,6 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN if exc.code not in (0, None) else EXIT_OK
     handler, _ = COMMANDS[args.command]
     try:
-        if args.tol is not None:
-            args.tol = parse_tol(args.tol, "--tol")
-        elif "BPFUSION_TOL" in os.environ:
-            args.tol = parse_tol(os.environ["BPFUSION_TOL"], "BPFUSION_TOL")
-        else:
-            args.tol = DEFAULT_TOL
         params = level_params(args.u, args.v)
         payload = handler(params, args)
         _emit(args, payload)

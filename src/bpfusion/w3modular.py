@@ -78,7 +78,8 @@ def _plus_rho(w) -> tuple[int, int]:
 
 def _weyl_sum(scale: Fraction, a, b) -> complex:
     """sum over the Weyl group of det(w) e^{-2 pi i scale <w(a), b>}, integer
-    weights, each exponent divided once as ints (see W3SMatrix)."""
+    weights.  Each exponent is -(num * 3<w(a), b>) / (3 * den), divided once as
+    ints, which rounds that rational correctly, as float(Fraction) would."""
     num, den3 = scale.numerator, 3 * scale.denominator
     b0, b1 = b
     total = 0j
@@ -91,12 +92,11 @@ def _weyl_sum(scale: Fraction, a, b) -> complex:
 
 def _weyl_sums(scale: Fraction, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """`_weyl_sum(scale, x, y)` for every row x of `xs` against every row y
-    of `ys`, integer rho-shifted weights.  Each exponent is reduced exactly,
-    as the integer num * 3<w x, y> mod 3 * den, before the float exp."""
-    num, mod = scale.numerator, 3 * scale.denominator
+    of `ys`, from the same exponents, so each sum equals it bit for bit."""
+    num, den3 = scale.numerator, 3 * scale.denominator
     total = np.zeros((len(xs), len(ys)), dtype=complex)
     for m, det in WEYL:
-        total += det * np.exp(-2j * math.pi * ((num * (xs @ np.array(m).T @ _FORM3 @ ys.T)) % mod) / mod)
+        total += det * np.exp(2j * math.pi * (-(num * (xs @ np.array(m).T @ _FORM3 @ ys.T)) / den3))
     return total
 
 
@@ -129,7 +129,7 @@ def xi_point(params: LevelParams, s_proj) -> tuple[complex, complex]:
 
 
 def _read_only(values, dtype=complex) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    arr = np.asarray(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -139,14 +139,10 @@ class W3SMatrix:
 
     Entry (a, b) factors as a phase e(<ra,sb> + <sa,rb>) times a Weyl sum
     over the r-weights (the level-(u-3) affine S-matrix) times one over the
-    s-weights (level v-3).  Each Weyl sum is evaluated once per ordered pair
-    of distinct weights and each phase once per exponent; the products are
-    taken in the order `w3_smatrix_entry` takes them, so every entry equals
-    the scalar evaluation bit for bit.  A Weyl-sum exponent is the integer
-    num * 3<w(x), y> over the integer 3 * den (scale = num / den), divided
-    once as ints; int division and `float(Fraction)` both round that one
-    rational correctly, so the floats fed to the exponential are the ones
-    the Fraction arithmetic gave, at half its cost.  All arrays are read-only.
+    s-weights (level v-3).  The Weyl-sum tables `r_sums` and `s_sums`, over
+    every weight of the two alcoves, are built once; `rows` gathers the
+    entries of any labels from them, and `matrix` is `rows` of the orbit
+    representatives.  All arrays are read-only.
 
     Besides `matrix`, two arrays feed the Verlinde sums: `vacuum_inverse`,
     1 / S[vac, mu], and `member_phase_sum`, the sum of e(jtw) over the three
@@ -158,25 +154,20 @@ class W3SMatrix:
         table = orbit_table(params)
         self.orbits = table.orbits
         u, v = params.u, params.v
-        r_weights, r_of = _distinct(_plus_rho(_proj(orb.rep.r)) for orb in self.orbits)
-        s_weights, s_of = _distinct(_plus_rho(_proj(orb.rep.s)) for orb in self.orbits)
-        first = [[_weyl_sum(Fraction(v, u), x, y) for y in r_weights] for x in r_weights]
-        second = [[_weyl_sum(Fraction(u, v), x, y) for y in s_weights] for x in s_weights]
-        # k = 3<ra, sb> + 3<sa, rb>, an integer, and the phase is e(k / 3)
-        ip3 = np.array([[int(3 * ip(x, y)) for y in s_weights] for x in r_weights], dtype=np.int64)
-        half = ip3[np.ix_(r_of, s_of)]
-        exponents = half + half.T
-        phases = {k: cexp(Fraction(k, 3)) for k in set(exponents.ravel().tolist())}
-        denom = math.sqrt(3) * u * v
-        matrix = np.empty(exponents.shape, dtype=complex)
-        for a in range(len(self.orbits)):
-            f_row, s_row = first[r_of[a]], second[s_of[a]]
-            matrix[a] = [
-                phases[k] * f_row[rb] * s_row[sb] / denom
-                for k, rb, sb in zip(exponents[a].tolist(), r_of, s_of)
-            ]
-        matrix.setflags(write=False)
-        self.matrix = matrix
+        # each label triple at level u-3 (r) and v-3 (s), by table position
+        self._r_at, self._s_at = (
+            {t: i for i, t in enumerate((k - a - b, a, b) for a in range(k + 1) for b in range(k + 1 - a))}
+            for k in (u - 3, v - 3)
+        )
+        r, s = (np.array([_plus_rho(_proj(t)) for t in at], dtype=np.int64) for at in (self._r_at, self._s_at))
+        self.r_sums = _read_only(_weyl_sums(Fraction(v, u), r, r))
+        self.s_sums = _read_only(_weyl_sums(Fraction(u, v), s, s))
+        # 3<x, y> (> 0) of r- and s-weights; e(k / 3) as cexp gives it, for each k a phase can take
+        self._ip3 = _read_only(r @ _FORM3 @ s.T, np.int64)
+        self._phases = _read_only(np.exp(2j * math.pi * (np.arange(2 * self._ip3.max() + 1) / 3)))
+        reps = [orb.rep for orb in self.orbits]
+        self._r_of, self._s_of = self._positions(reps)
+        self.matrix = _read_only(self.rows(reps))
         self.vacuum_inverse = _read_only(1 / self.matrix[self.index(table.vacuum)])
         # e(jtw) as cexp would take it, from the integer 6v * jtw
         self.member_phase_sum = _read_only(
@@ -185,6 +176,29 @@ class W3SMatrix:
                 for orb in self.orbits
             ]
         )
+
+    def _positions(self, labels) -> tuple[np.ndarray, np.ndarray]:
+        try:
+            return np.array([self._r_at[x.r] for x in labels]), np.array([self._s_at[x.s] for x in labels])
+        except KeyError as exc:
+            raise LabelError(f"{exc.args[0]} is not an interior triple at ({self.params.u},{self.params.v})") from None
+
+    def rows(self, labels) -> np.ndarray:
+        """The S-entries of interior labels against every orbit (in `orbits`
+        order), gathered from the tables: phase * r-sum * s-sum / (sqrt(3) u v)
+        in the real operations of Python's complex product and quotient (numpy's
+        round differently), so each equals `w3_smatrix_entry` bit for bit."""
+        ra, sa = self._positions(labels)
+        out = np.empty((len(ra), len(self.orbits)), dtype=complex)
+        d = math.sqrt(3) * self.params.u * self.params.v
+        for lo in range(0, len(ra), 256):  # 256 rows at a time bounds the temporaries
+            i, j, block = ra[lo : lo + 256], sa[lo : lo + 256], out[lo : lo + 256]
+            k = self._ip3[np.ix_(i, self._s_of)] + self._ip3[np.ix_(self._r_of, j)].T
+            zr, zi = self._phases.real[k], self._phases.imag[k]
+            for w in (self.r_sums[np.ix_(i, self._r_of)], self.s_sums[np.ix_(j, self._s_of)]):
+                zr, zi = zr * w.real - zi * w.imag, zr * w.imag + zi * w.real
+            block.real, block.imag = (zr + zi * 0.0) / d, (zi - zr * 0.0) / d
+        return out
 
     def index(self, orbit: OrbitClass) -> int:
         return _position(self.params, orbit)
@@ -226,28 +240,17 @@ class W3SMatrix:
 def sigma_phase_checks(params: LevelParams, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Cycling the r- or s-triple of a row label multiplies its S-entry by a
     phase fixed by the column's twisted charge; cycling both leaves it.  As
-    an n x n boolean array over orbit pairs: the cycled rows, from
-    `_weyl_sums`, against phase * S, S / phase and S, S the cached matrix."""
-    u, v = params.u, params.v
-    reps = [orb.rep for orb in orbit_table(params).orbits]
-    r, s, r_cyc, s_cyc = (
-        np.array([_plus_rho(_proj(getattr(x, side))) for x in labels], dtype=np.int64)
-        for labels in (reps, [sigma(x) for x in reps])
-        for side in "rs"
-    )
-
-    def rows(rows_r, rows_s):
-        phases = np.exp(2j * math.pi * ((rows_r @ _FORM3 @ s.T + rows_s @ _FORM3 @ r.T) % 3) / 3)
-        weyl = _weyl_sums(Fraction(v, u), rows_r, r) * _weyl_sums(Fraction(u, v), rows_s, s)
-        return phases * weyl / (math.sqrt(3) * u * v)
-
-    smat = _cached_smatrix(params).matrix
-    phase = np.array([(-1) ** v * cexp(v * jtw_of(params, x)) for x in reps])
-    return (
-        (np.abs(rows(r_cyc, s) - phase * smat) <= tol)
-        & (np.abs(rows(r, s_cyc) - smat / phase) <= tol)
-        & (np.abs(rows(r_cyc, s_cyc) - smat) <= tol)
-    )
+    an n x n boolean array over orbit pairs: the rows of the r-cycled,
+    s-cycled and fully cycled representatives, gathered by the cached
+    matrix's `rows`, against phase * S, S / phase and S."""
+    smat = _cached_smatrix(params)
+    reps = [orb.rep for orb in smat.orbits]
+    cycled = [sigma(x) for x in reps]
+    phase = np.array([(-1) ** params.v * cexp(params.v * jtw_of(params, x)) for x in reps])
+    s = smat.matrix
+    ok = np.abs(smat.rows([RSLabel(c.r, x.s) for x, c in zip(reps, cycled)]) - phase * s) <= tol
+    ok &= np.abs(smat.rows([RSLabel(x.r, c.s) for x, c in zip(reps, cycled)]) - s / phase) <= tol
+    return ok & (np.abs(smat.rows(cycled) - s) <= tol)
 
 
 def ratio_weyl_character_check(

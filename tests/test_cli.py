@@ -165,6 +165,30 @@ class TestErrors:
         code, out = run(capsys, "verify", "4", "3", "--suite", "w3-unitarity", "--tol", "1e-8")
         assert code == 0 and json.loads(out)["ok"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["smatrix-w3", "5", "3", "--depth", "3"],
+            ["verify", "4", "3", "--depth", "3"],
+            ["orbit", "5", "3", "[1,1,0;0,0,0]", "--tol", "1e-8"],
+            ["fuse", "3", "4", "I[0,0,0;0,0,1]^0", "I[0,0,0;1,-1,1]^0", "--tol", "1e-8"],
+        ],
+        ids=" ".join,
+    )
+    def test_an_option_the_command_does_not_read_is_refused(self, capsys, argv):
+        """--depth belongs to fuse and resolve, --tol to verify."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_a_bad_tolerance_env_leaves_commands_that_do_not_read_it(self, capsys, monkeypatch):
+        expected = run(capsys, "orbit", "5", "3", "[1,1,0;0,0,0]")
+        monkeypatch.setenv("BPFUSION_TOL", "abc")
+        assert run(capsys, "orbit", "5", "3", "[1,1,0;0,0,0]") == expected
+        assert expected[0] == 0
+
 
 class TestRoundTrip:
     def test_every_printed_label_reparses(self, capsys):

@@ -2,9 +2,10 @@
 lives in, the Verlinde sums read off that cache, and the W3 fusion ring
 as the product of two sl3 fusion rings.
 
-The factorised builder must reproduce the scalar `w3_smatrix_entry` bit
-for bit, and the vectorised oracle must agree with the loop over orbits
-it replaced (kept below as `loop_oracle`).
+The factorised builder, its Weyl-sum tables and the rows it gathers for
+cycled labels must reproduce the scalar `w3_smatrix_entry` bit for bit,
+and the vectorised oracle must agree with the loop over orbits it
+replaced (kept below as `loop_oracle`).
 """
 import copy
 import random
@@ -40,6 +41,7 @@ from bpfusion.levels import (
     level_params,
     orbit_of,
     orbit_table,
+    sigma,
     vacuum_orbit,
 )
 from bpfusion.verlinde import (
@@ -66,7 +68,7 @@ from bpfusion.w3modular import (
 )
 
 SMALL_LEVELS = [(u, v) for u in range(3, 9) for v in range(3, 9) if gcd(u, v) == 1]
-ARRAYS = ("matrix", "vacuum_inverse", "member_phase_sum")
+ARRAYS = ("matrix", "vacuum_inverse", "member_phase_sum", "r_sums", "s_sums")
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +126,72 @@ def test_weyl_sum_equals_the_fraction_reference_at_11_10_on_seeded_pairs():
         weights = _shifted_alcove(level)
         pairs = [(rng.choice(weights), rng.choice(weights)) for _ in range(500)]
         assert _weyl_sum_mismatches(scale, pairs) == []
+
+
+def _weyl_sums_mismatches(scale, weights, pairs) -> list:
+    """`_weyl_sums` over every pair of `weights`, read at `pairs` against the reference."""
+    at = {w: i for i, w in enumerate(weights)}
+    table = w3modular._weyl_sums(scale, np.array(weights), np.array(weights))
+    return [
+        (scale, x, y) for x, y in pairs if _bits(complex(table[at[x], at[y]])) != _bits(reference.weyl_sum(scale, x, y))
+    ]
+
+
+@pytest.mark.parametrize("u,v", SMALL_LEVELS, ids=lambda x: str(x))
+def test_weyl_sums_equal_the_fraction_reference_bit_for_bit(u, v):
+    for scale, level in ((Fraction(v, u), u - 3), (Fraction(u, v), v - 3)):
+        weights = _shifted_alcove(level)
+        assert _weyl_sums_mismatches(scale, weights, [(x, y) for x in weights for y in weights]) == []
+
+
+def test_weyl_sums_equal_the_fraction_reference_at_11_10_on_seeded_pairs():
+    rng = random.Random(1110)
+    for scale, level in ((Fraction(10, 11), 8), (Fraction(11, 10), 7)):
+        weights = _shifted_alcove(level)
+        pairs = [(rng.choice(weights), rng.choice(weights)) for _ in range(500)]
+        assert _weyl_sums_mismatches(scale, weights, pairs) == []
+
+
+def _cycled_row_mismatches(p, pairs) -> list:
+    """Entries of `rows` for the r-cycled, s-cycled and fully cycled
+    representative of orbit i against orbit j, at each (i, j) of `pairs`,
+    whose bits differ from `w3_smatrix_entry`."""
+    smat = W3SMatrix(p)
+    reps = [orb.rep for orb in smat.orbits]
+    cycled = [sigma(x) for x in reps]
+    kinds = {
+        "r": [RSLabel(c.r, x.s) for x, c in zip(reps, cycled)],
+        "s": [RSLabel(x.r, c.s) for x, c in zip(reps, cycled)],
+        "both": cycled,
+    }
+    out = []
+    for kind, labels in kinds.items():
+        rows = smat.rows(labels)
+        out += [
+            (kind, i, j)
+            for i, j in pairs
+            if _bits(complex(rows[i, j])) != _bits(w3_smatrix_entry(p, labels[i], reps[j]))
+        ]
+    return out
+
+
+@pytest.mark.parametrize("u,v", SMALL_LEVELS, ids=lambda x: str(x))
+def test_cycled_rows_equal_scalar_entries_bit_for_bit(u, v):
+    p = level_params(u, v)
+    n = len(orbit_table(p).orbits)
+    assert _cycled_row_mismatches(p, [(i, j) for i in range(n) for j in range(n)]) == []
+
+
+def test_cycled_rows_at_11_10_on_seeded_entries():
+    rng = random.Random(1110)
+    pairs = [(rng.randrange(540), rng.randrange(540)) for _ in range(2000)]
+    assert _cycled_row_mismatches(level_params(11, 10), pairs) == []
+
+
+@pytest.mark.parametrize("label", [RSLabel((0, 0, 2), (1, -1, 1)), RSLabel((0, 0, 3), (1, 0, 1))], ids=str)
+def test_rows_of_a_label_off_the_alcoves_raise_a_label_error(label):
+    with pytest.raises(LabelError, match=r"is not an interior triple at \(5,4\)"):
+        W3SMatrix(level_params(5, 4)).rows([label])
 
 
 def test_weyl_sum_equals_the_fraction_reference_off_the_alcove():

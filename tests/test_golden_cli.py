@@ -21,7 +21,12 @@ one product; its second label's resolution lists a standard term at flow
 highest-weight fusion (u = 0 mod 3, so s-side representatives, at
 half-integral flow) and the (8,7) resolution fusion (the first past
 (7,5)) were recorded before the resolution path moved to integer keys
-over one charge denominator per call.
+over one charge denominator per call.  The (6,5) S-matrix was recorded
+before the builder moved to gathering entries from two cached Weyl-sum
+tables; it pins the sign of exact zeros such as entry [12][19], whose
+unscaled product is -0 + 0j: Python's complex-by-float division gives
++0.0 there and a componentwise division -0.0, which neither the (5,3),
+(4,5) and (7,5) dumps nor the tests' `np.array_equal` would notice.
 """
 from pathlib import Path
 
@@ -36,6 +41,7 @@ COMMANDS = {
     "smatrix-w3-5-3": ["smatrix-w3", "5", "3"],
     "smatrix-w3-4-5": ["smatrix-w3", "4", "5"],
     "smatrix-w3-7-5": ["smatrix-w3", "7", "5"],
+    "smatrix-w3-6-5": ["smatrix-w3", "6", "5"],
     "kernel-bp-3-4": ["kernel-bp", "3", "4", "I[0,0,0;2,-1,0]^0", "R~[1/7;[[0,0,0;1,0,0]]]^0"],
     "fuse-3-4-standard": ["fuse", "3", "4", "R~[1/7;[[0,0,0;1,0,0]]]^0", "R~[2/7;[[0,0,0;1,0,0]]]^0"],
     "fuse-3-4-resolution": ["fuse", "3", "4", "I[0,0,0;0,0,1]^0", "I[0,0,0;1,-1,1]^0"],
