@@ -27,6 +27,9 @@ tables; it pins the sign of exact zeros such as entry [12][19], whose
 unscaled product is -0 + 0j: Python's complex-by-float division gives
 +0.0 there and a componentwise division -0.0, which neither the (5,3),
 (4,5) and (7,5) dumps nor the tests' `np.array_equal` would notice.
+The two `--table` files (plain text, hence `.txt`) were recorded before the
+JSON writer took the S-matrix as an array: the (6,5) table prints both
+signs of zero, and the (4,3) one prints every suite's result.
 """
 from pathlib import Path
 
@@ -63,11 +66,17 @@ COMMANDS = {
     "fuse-5-4-out-of-order-resolution": ["fuse", "5", "4", "I[2,0,0;1,-1,1]^3", "I[1,0,1;1,-1,1]^1"],
     "fuse-6-5-hw-by-hw-half-flow": ["fuse", "6", "5", "I[1,0,2;1,-1,2]^1/2", "I[1,1,1;1,0,1]^1"],
     "fuse-8-7-resolution": ["fuse", "8", "7", "I[2,1,2;1,1,2]^1", "R~[11/97;[[0,2,3;1,2,1]]]^-1"],
+    "smatrix-w3-6-5-table": ["smatrix-w3", "6", "5", "--table"],
+    "verify-4-3-table": ["verify", "4", "3", "--table"],
 }
 
 
+def golden(name: str) -> Path:
+    return GOLDEN / (name + (".txt" if "--table" in COMMANDS[name] else ".json"))
+
+
 def test_every_golden_file_has_a_command():
-    assert {p.stem for p in GOLDEN.glob("*.json")} == set(COMMANDS)
+    assert {p.name for p in GOLDEN.iterdir()} == {golden(name).name for name in COMMANDS}
 
 
 def test_every_cli_command_has_a_golden_file():
@@ -78,4 +87,4 @@ def test_every_cli_command_has_a_golden_file():
 def test_output_is_byte_identical(capsys, name):
     assert main(COMMANDS[name]) == 0
     out = capsys.readouterr().out
-    assert out == (GOLDEN / f"{name}.json").read_text()
+    assert out == golden(name).read_text()
