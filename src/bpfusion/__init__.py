@@ -49,4 +49,13 @@ from .verlinde import (
     verlinde_oracle,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AdmissibilityError", "LabelError", "LevelParams", "OrbitClass", "RSLabel", "enumerate_infwts",
+    "enumerate_surv", "hw_data", "level_params", "orbit_of", "sigma", "vacuum_orbit", "w3_data", "FormalSum",
+    "HalfInt", "HWLabel", "StandardLabel", "atypical_ses", "conjugate_hw", "gap_decomposition",
+    "hw_flow_maps", "hw_label", "orbit_type", "parse_label", "resolution", "spectral_flow", "standard_label",
+    "kac_walton", "sl3_sigma_symmetry_check", "tensor_coeff", "weight_multiplicities", "weyl_character",
+    "W3SMatrix", "w3_fusion", "w3_smatrix_entry", "fuse", "fuse_general", "fuse_standard",
+    "fuse_type3_standard", "fuse_type3_type3", "simple_currents", "standard_kernel", "subring_iso_check",
+    "type3_kernel", "vacuum_kernel", "verlinde_oracle",
+]

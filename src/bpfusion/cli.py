@@ -6,8 +6,9 @@ import math
 import os
 import sys
 from functools import lru_cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import verify as verify_mod
 from .labels import (
@@ -60,35 +61,16 @@ def parse_tol(text: str, source: str) -> float:
     return tol
 
 
-def _bulk_text(items: list, level: int) -> str | None:
-    """A list of dicts with the same keys and only finite float values (an
-    S-matrix row), rendered by one % over a repeated per-item template;
-    None for any other list, which the plain path then writes.  Every value
-    is an exact float, so its %r is the float.__repr__ json writes."""
-    keys = list(items[0]) if type(items[0]) is dict else []
-    # a dict's keys are distinct, so the items' keys in sequence equal `keys`
-    # repeated once per item only if every item has exactly `keys`, in order
-    if not keys or set(map(type, items)) != {dict}:
-        return None
-    if list(chain.from_iterable(items)) != keys * len(items):
-        return None
-    values = list(chain.from_iterable(map(dict.values, items)))
-    if set(map(type, values)) != {float} or not all(map(math.isfinite, values)):
-        return None
-    pad, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
-    # encode_basestring_ascii raises TypeError on a key that is not a str
-    fields = ("," + inner).join(encode_basestring_ascii(key).replace("%", "%%") + ": %r" for key in keys)
-    item = pad + "{" + inner + fields + pad + "}"
-    template = "[" + ",".join([item] * len(items)) + "\n" + "  " * level + "]"
-    return template % tuple(values)
+def _complex_rows(m: np.ndarray) -> list:
+    """A complex matrix as rows of {"re", "im"} dicts of Python floats."""
+    return [[{"re": x, "im": y} for x, y in zip(re, im)] for re, im in zip(m.real.tolist(), m.imag.tolist())]
 
 
 def _json_text(o, level: int = 0) -> str:
     """The text of `json.dumps(o, indent=2)`, byte for byte, for a tree of
-    dicts with str keys, lists, tuples, str, int, float, bool and None.  On
-    Python 3.11 `indent` turns off json's C encoder; this writer renders a
-    list of same-key dicts of finite floats (an S-matrix row) with one
-    string format, and everything else recursively as json does."""
+    dicts with str keys, lists, tuples, str, int, float, bool and None, and
+    of 2-D complex ndarrays as their `_complex_rows`.  On Python 3.11
+    `indent` turns off json's C encoder, so this writer does json's work."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -100,18 +82,13 @@ def _json_text(o, level: int = 0) -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o in (math.inf, -math.inf):
-            return "Infinity" if o > 0 else "-Infinity"
-        return float.__repr__(o)
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
     pad, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        bulk = _bulk_text(o, level)
-        if bulk is not None:
-            return bulk
         return "[" + inner + ("," + inner).join(_json_text(x, level + 1) for x in o) + pad + "]"
     if isinstance(o, dict):
         if not o:
@@ -122,6 +99,17 @@ def _json_text(o, level: int = 0) -> str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             fields.append(encode_basestring_ascii(key) + ": " + _json_text(value, level + 1))
         return "{" + inner + ("," + inner).join(fields) + pad + "}"
+    if isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype == complex:
+        if not (o.size and np.isfinite(o).all()):
+            return _json_text(_complex_rows(o), level)
+        # one float.__repr__ per distinct bit pattern (keyed on the bits, as -0.0 == 0.0
+        # and the two hash alike, yet json spells them apart) and one % per row
+        bits, inverse = np.unique(np.ascontiguousarray(o).view(np.int64), return_inverse=True)
+        reprs = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+        item = inner + "  {" + inner + '    "re": %s,' + inner + '    "im": %s' + inner + "  }"
+        row = "[" + ",".join([item] * o.shape[1]) + inner + "]"
+        rows = [row % tuple(texts) for texts in reprs[inverse.reshape(len(o), -1)].tolist()]
+        return "[" + inner + ("," + inner).join(rows) + pad + "]"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -138,9 +126,11 @@ def _emit(args, payload):
 
 def _print_table(payload, indent=0):
     pad = "  " * indent
+    if isinstance(payload, np.ndarray):
+        payload = _complex_rows(payload)
     if isinstance(payload, dict):
         for key, value in payload.items():
-            if isinstance(value, (dict, list)):
+            if isinstance(value, (dict, list, np.ndarray)):
                 print(f"{pad}{key}:")
                 _print_table(value, indent + 1)
             else:
@@ -205,7 +195,8 @@ def cmd_orbit(params: LevelParams, args) -> dict:
 
 
 def cmd_smatrix_w3(params: LevelParams, args) -> dict:
-    return W3SMatrix(params).to_json()
+    smat = W3SMatrix(params)
+    return {"orbits": [str(orb) for orb in smat.orbits], "entries": smat.matrix}
 
 
 def cmd_kernel_bp(params: LevelParams, args) -> dict:

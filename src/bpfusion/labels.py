@@ -50,7 +50,10 @@ class HalfInt:
             return x
         if isinstance(x, int):
             return HalfInt(2 * x)
-        frac = Fraction(x)
+        try:
+            frac = Fraction(x)
+        except (TypeError, ValueError, OverflowError):  # nan, +-inf and what is no number
+            raise LabelError(f"{x!r} is not a half-integer") from None
         if frac.denominator not in (1, 2):
             raise LabelError(f"{x} is not a half-integer")
         return HalfInt(int(frac * 2))
@@ -604,6 +607,8 @@ def parse_standard(params: LevelParams, text: str) -> StandardLabel:
 
 
 def parse_label(params: LevelParams, text: str):
+    if not isinstance(text, str):
+        raise LabelError(f"a label is text, not {type(text).__name__}")
     body = text.strip()
     if body.startswith("R~"):
         return parse_standard(params, body)

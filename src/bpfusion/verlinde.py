@@ -115,6 +115,8 @@ class SKernelEntry:
 
 def standard_kernel(params: LevelParams, a: StandardLabel, b: StandardLabel) -> SKernelEntry:
     """Kernel entry between two standard labels; symmetric in its arguments."""
+    if not (isinstance(a, StandardLabel) and isinstance(b, StandardLabel)):
+        raise LabelError(f"the standard kernel takes two standard labels, not {a} and {b}")
     kappa = params.kappa
     la, lb = a.ell.as_fraction(), b.ell.as_fraction()
     phase = -(2 * kappa * la * lb + la * (b.j - kappa) + (a.j - kappa) * lb)

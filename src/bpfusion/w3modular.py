@@ -223,15 +223,6 @@ class W3SMatrix:
             perm[i, jx] = 1.0
         return bool(np.max(np.abs(self.matrix @ self.matrix - perm)) <= tol)
 
-    def to_json(self) -> dict:
-        return {
-            "orbits": [str(orb) for orb in self.orbits],
-            "entries": [
-                [{"re": x, "im": y} for x, y in zip(re_row, im_row)]
-                for re_row, im_row in zip(self.matrix.real.tolist(), self.matrix.imag.tolist())
-            ],
-        }
-
 
 # ---------------------------------------------------------------------------
 # Identity suite

@@ -13,7 +13,9 @@ independent references those fast paths are checked against:
   affine fusion tables read at the orbits' fusion representatives.
 
 `weyl_sum` is the S-matrix's sl3 Weyl sum with its exponent formed as a
-`Fraction`, the reference for the library's integer exponents.
+`Fraction`, the reference for the library's integer exponents, and
+`smatrix_json` the `smatrix-w3` payload as the plain dicts and lists that
+`json.dumps` writes, the reference for the CLI's matrix writer.
 
 `fusion_oracle_suite` is the fusion-oracle suite as it was before it read
 the closed form as integer gathers: one `fuse_standard` per (a, b) pair,
@@ -69,6 +71,17 @@ def weyl_sum(scale: Fraction, a, b) -> complex:
     for m, det in WEYL:
         total += det * w3modular.cexp(-scale * ip(_mat_apply(m, a), b))
     return total
+
+
+def smatrix_json(smat: w3modular.W3SMatrix) -> dict:
+    """The orbits and the matrix's rows of {"re", "im"} dicts of floats."""
+    return {
+        "orbits": [str(orb) for orb in smat.orbits],
+        "entries": [
+            [{"re": x, "im": y} for x, y in zip(re_row, im_row)]
+            for re_row, im_row in zip(smat.matrix.real.tolist(), smat.matrix.imag.tolist())
+        ],
+    }
 
 
 def peel_tensor(t, tp) -> dict:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bpfusion
+import fusion_reference as reference
 from bpfusion import cli
 from bpfusion.cli import COMMANDS as CLI_COMMANDS
 from bpfusion.cli import main
@@ -215,7 +216,7 @@ class TestOutputBytes:
     def test_smatrix_at_larger_levels_equals_json_dumps(self, capsys, u, v):
         code, out = run(capsys, "smatrix-w3", str(u), str(v))
         assert code == 0
-        assert out == json.dumps(W3SMatrix(level_params(u, v)).to_json(), indent=2) + "\n"
+        assert out == json.dumps(reference.smatrix_json(W3SMatrix(level_params(u, v))), indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [["smatrix-w3", "5", "3"], ["verify", "4", "3"]], ids=" ".join)
     def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):

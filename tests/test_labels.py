@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 from math import gcd
@@ -68,6 +69,14 @@ class TestHalfInt:
     def test_rejects_thirds(self):
         with pytest.raises(LabelError):
             HalfInt.of(Fraction(1, 3))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, None, b"1", 1j])
+    def test_rejects_non_finite_floats_and_non_numbers(self, x):
+        p = level_params(4, 3)
+        with pytest.raises(LabelError):
+            HalfInt.of(x)
+        with pytest.raises(LabelError):
+            spectral_flow(p, hw_label(p, enumerate_surv(p)[0], 0), x)
 
 
 class TestNormalForm:
@@ -452,6 +461,11 @@ class TestParsing:
         assert isinstance(parse_label(p, "[[0,0,0;1,0,0]]"), type(enumerate_infwts(p)[0]))
         assert isinstance(parse_label(p, "I[0,0,0;0,0,1]^0"), HWLabel)
         assert isinstance(parse_label(p, "R~[1/7;[[0,0,0;1,0,0]]]^0"), StandardLabel)
+
+    @pytest.mark.parametrize("text", [None, b"x", b"I[0,0,0;0,0,1]^0"])
+    def test_a_label_that_is_not_text_raises(self, text):
+        with pytest.raises(LabelError):
+            parse_label(level_params(3, 4), text)
 
     def test_malformed_inputs(self):
         p = level_params(3, 4)

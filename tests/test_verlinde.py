@@ -78,6 +78,14 @@ class TestKernels:
         b = standard_label(Fraction(2, 5), o, -1)
         assert abs(standard_kernel(p, a, b).value - standard_kernel(p, b, a).value) < 1e-12
 
+    def test_standard_kernel_rejects_other_labels(self):
+        p = level_params(3, 4)
+        s = standard_label(Fraction(1, 7), orb34(p), 0)
+        hw = hw_label(p, enumerate_surv(p)[0], 0)
+        for a, b in [(s, hw), (hw, s), (s, enumerate_surv(p)[0]), (None, s)]:
+            with pytest.raises(LabelError):
+                standard_kernel(p, a, b)
+
     def test_flow_factorisation(self):
         # pulling flow off the first label costs one exponential factor
         p = level_params(5, 3)
