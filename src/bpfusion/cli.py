@@ -226,7 +226,7 @@ def cmd_kernel_bp(params: LevelParams, args) -> dict:
 def cmd_fuse(params: LevelParams, args) -> dict:
     a = parse_label(params, args.labels[0])
     b = parse_label(params, args.labels[1])
-    product = fuse(params, a, b, args.depth)
+    product = fuse(params, a, b)
     return {"lhs": str(a), "rhs": str(b), "result": product.to_json()}
 
 
@@ -280,12 +280,6 @@ COMMANDS = {
 }
 
 
-DEPTH_HELP = {
-    "resolve": "flows above the label's own at which the periodic block is cut (default 9v)",
-    "fuse": "must be >= 1; fusion divides the whole resolution exactly, so the answer does not depend on it",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bpfusion")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -297,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("labels", nargs=nlabels, metavar="LABEL")
         p.add_argument("--table", action="store_true")
         p.add_argument("--out", default=None)
-        if name in DEPTH_HELP:
-            p.add_argument("--depth", type=int, default=None, help=DEPTH_HELP[name])
+        if name == "resolve":
+            p.add_argument("--depth", type=int, default=None, help="cut this many flows above the label (default 9v)")
         if name == "verify":
             p.add_argument("--tol", default=None)
             p.add_argument("--suite", default=None)

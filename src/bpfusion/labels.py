@@ -11,7 +11,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 
 from .levels import (
@@ -19,16 +18,15 @@ from .levels import (
     LevelParams,
     OrbitClass,
     RSLabel,
-    _enumerate_surv,
-    _orbit_table,
+    _surv,
     check_surv,
     enumerate_infwts,
     hash_once,
     in_infwts,
     jtw_of,
-    level_params,
     orbit_table,
     parse_orbit,
+    per_level,
     sigma,
     sigma_inv,
 )
@@ -228,22 +226,17 @@ def conjugate_twisted_hw(params: LevelParams, label: HWLabel) -> HWLabel:
 # Standard labels: gaps, conversions
 
 
-@lru_cache(maxsize=None)
-def _gap_table(u: int, v: int) -> MappingProxyType:
-    params = level_params(u, v)
+@per_level
+def gap_table(params: LevelParams) -> MappingProxyType:
+    """Every orbit mapped to its members, each with the charge at which the
+    standard family over the orbit is nonsimple (integral-flow grading): a
+    read-only view, built once per level."""
     return MappingProxyType(
         {
             orb: tuple((m, _mod1(jtw_of(params, m) + params.kappa)) for m in orb.members)
             for orb in enumerate_infwts(params)
         }
     )
-
-
-def gap_table(params: LevelParams) -> MappingProxyType:
-    """Every orbit mapped to its members, each with the charge at which the
-    standard family over the orbit is nonsimple (integral-flow grading): a
-    read-only view, built once per (u, v)."""
-    return _gap_table(params.u, params.v)
 
 
 def gap_member(params: LevelParams, label: StandardLabel) -> RSLabel | None:
@@ -277,16 +270,16 @@ def gap_charges(params: LevelParams, orbit: OrbitClass, convention: str = "integ
     return {_mod1(jtw_of(params, member) + shift) for member in orbit.members}
 
 
-@lru_cache(maxsize=None)
-def _gap_of_member(u: int, v: int) -> MappingProxyType:
+@per_level
+def _gap_of_member(params: LevelParams) -> MappingProxyType:
     # every interior label -> (its orbit, its gap charge), read off the gap table
-    return MappingProxyType({m: (orb, j) for orb, members in _gap_table(u, v).items() for m, j in members})
+    return MappingProxyType({m: (orb, j) for orb, members in gap_table(params).items() for m, j in members})
 
 
 def nonsimple_standard(params: LevelParams, member: RSLabel, ell=0) -> StandardLabel:
     """The nonsimple standard label attached to an interior weight label."""
     try:
-        orbit, charge = _gap_of_member(params.u, params.v)[member]
+        orbit, charge = _gap_of_member(params)[member]
     except KeyError:
         raise LabelError(f"{member} is not an interior label") from None
     return StandardLabel(HalfInt.of(ell), charge, orbit)
@@ -506,16 +499,15 @@ def rewrite_gaps(params: LevelParams, sum_: FormalSum) -> FormalSum:
 # Resolutions by nonsimple standard modules
 
 
-@lru_cache(maxsize=None)
-def _series(u: int, v: int, lam: int) -> tuple[tuple, tuple]:
+@per_level
+def _series(params: LevelParams, lam: int) -> tuple[tuple, tuple]:
     """The resolution of I[lam]^0 (lam a position in `enumerate_surv`) as a
     finite head plus one block that repeats every P = 3v flows with sign
-    (-1)^v, built once per process; a term is (twice flow, charge numerator
-    over 6v, orbit position, sign).  The head is the m < s2 terms of the
-    one-step resolutions, the block the s0-family at n = 0 and the
-    s1-family at n = 1."""
-    gaps, position = _gap_of_member(u, v), _orbit_table(u, v).position
-    r3, (s0, s1, s2) = _enumerate_surv(u, v)[lam].r, _enumerate_surv(u, v)[lam].s
+    (-1)^v; a term is (twice flow, charge numerator over 6v, orbit position,
+    sign).  The head is the m < s2 terms of the one-step resolutions, the
+    block the s0-family at n = 0 and the s1-family at n = 1."""
+    v, gaps, position = params.v, _gap_of_member(params), orbit_table(params).position
+    r3, (s0, s1, s2) = _surv(params)[lam].r, _surv(params)[lam].s
     cycles = (sigma_inv(RSLabel(r3, (0, 0, 0))).r, r3, sigma(RSLabel(r3, (0, 0, 0))).r)
     twist = (1, (-1) ** v, 1)  # the sign the middle cycle step carries
 
@@ -535,8 +527,8 @@ def _series(u: int, v: int, lam: int) -> tuple[tuple, tuple]:
 
 
 def series_of(params: LevelParams, lam: RSLabel) -> tuple[tuple, tuple]:
-    """`_series` of the weight label lam, read from the process-wide table."""
-    return _series(params.u, params.v, bisect_left(_enumerate_surv(params.u, params.v), check_surv(params, lam)))
+    """`_series` of the weight label lam, read from the level's table."""
+    return _series(params, bisect_left(_surv(params), check_surv(params, lam)))
 
 
 def resolution(params: LevelParams, lam: RSLabel | HWLabel, depth: int) -> FormalSum:

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd
 from operator import attrgetter
+from threading import Lock
 from types import MappingProxyType
 
 from .sl3 import triality
+
+_LEVEL_LOCK = Lock()
 
 
 class AdmissibilityError(ValueError):
@@ -26,6 +29,11 @@ class LabelError(ValueError):
 
 @dataclass(frozen=True)
 class LevelParams:
+    """Exact level data at one (u, v), and the tables built for it.
+
+    `tables` holds every per-level table (`per_level`), is neither compared
+    nor hashed, and starts empty on `dataclasses.replace(params)`."""
+
     u: int
     v: int
     k: Fraction
@@ -33,10 +41,13 @@ class LevelParams:
     c_bp: Fraction
     c_w3: Fraction
     c_pi: Fraction
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def level_params(u: int, v: int) -> LevelParams:
-    """Exact level data for the pair (u, v); u, v >= 3 and coprime."""
+    """Exact level data for the pair (u, v); u, v >= 3 and coprime.  Every
+    call for one pair returns the same instance, so its tables are built
+    once per process."""
     if not (isinstance(u, int) and isinstance(v, int)):
         raise AdmissibilityError(f"(u, v) must be integers, got ({u!r}, {v!r})")
     if u < 3 or v < 3 or gcd(u, v) != 1:
@@ -44,12 +55,36 @@ def level_params(u: int, v: int) -> LevelParams:
             f"(u, v) = ({u}, {v}) is not nondegenerate-admissible: "
             "need u >= 3, v >= 3, gcd(u, v) = 1"
         )
+    with _LEVEL_LOCK:  # unlocked, lru_cache can hand concurrent first callers an instance each
+        return _level(u, v)
+
+
+@lru_cache(maxsize=None)
+def _level(u: int, v: int) -> LevelParams:
     k = Fraction(u, v) - 3
     kappa = Fraction(2 * u - 3 * v, 6 * v)
     c_bp = 1 - Fraction(6 * (u - 2 * v) ** 2, u * v)
     c_w3 = 2 - Fraction(24 * (u - v) ** 2, u * v)
     c_pi = -1 + Fraction(6 * (3 * u - 4 * v), v)
     return LevelParams(u, v, k, kappa, c_bp, c_w3, c_pi)
+
+
+def per_level(build):
+    """`build(params, *key)` as a table kept on the level.  The returned
+    reader builds an entry on first use and stores it in
+    `params.tables[reader]`, a dict keyed on the tuple `key` of ints.  Two
+    threads may both build an entry; `setdefault` keeps the one stored
+    first, and both return it.  Builders return tuples, read-only mappings
+    or read-only arrays."""
+
+    @wraps(build)
+    def read(params: LevelParams, *key):
+        try:
+            return params.tables[read][key]
+        except KeyError:
+            return params.tables.setdefault(read, {}).setdefault(key, build(params, *key))
+
+    return read
 
 
 Triple = tuple[int, int, int]
@@ -167,9 +202,9 @@ class OrbitClass:
         return label in self.members
 
 
-@lru_cache(maxsize=None)
-def _enumerate_surv(u: int, v: int) -> tuple[RSLabel, ...]:
-    params = level_params(u, v)
+@per_level
+def _surv(params: LevelParams) -> tuple[RSLabel, ...]:
+    u, v = params.u, params.v
     out = []
     for r0 in range(u - 2):
         for r1 in range(u - 2 - r0):
@@ -185,7 +220,7 @@ def _enumerate_surv(u: int, v: int) -> tuple[RSLabel, ...]:
 
 def enumerate_surv(params: LevelParams) -> list[RSLabel]:
     """All weight labels, in lexicographic order."""
-    return list(_enumerate_surv(params.u, params.v))
+    return list(_surv(params))
 
 
 @dataclass(frozen=True)
@@ -202,10 +237,12 @@ class OrbitTable:
     fusion_rep: MappingProxyType
 
 
-@lru_cache(maxsize=None)
-def _orbit_table(u: int, v: int) -> OrbitTable:
+@per_level
+def orbit_table(params: LevelParams) -> OrbitTable:
+    """The orbit table at the level."""
+    u, v = params.u, params.v
     index = {}
-    for lab in _enumerate_surv(u, v):
+    for lab in _surv(params):
         # the cycle is free on interior labels: a fixed point needs 3 | u and 3 | v
         if lab.s[1] >= 0 and lab not in index:
             rep = min(lab, sigma(lab), sigma(sigma(lab)))
@@ -230,15 +267,10 @@ def _orbit_table(u: int, v: int) -> OrbitTable:
     )
 
 
-def orbit_table(params: LevelParams) -> OrbitTable:
-    """The orbit table at (u, v), built once per process."""
-    return _orbit_table(params.u, params.v)
-
-
 def orbit_of(params: LevelParams, label: RSLabel) -> OrbitClass:
     """The orbit of an interior label under the order-3 cycle."""
     try:
-        return _orbit_table(params.u, params.v).index[label]
+        return orbit_table(params).index[label]
     except KeyError:
         raise LabelError(f"{label} is not an interior label at ({params.u},{params.v})") from None
 
@@ -265,8 +297,8 @@ def enumerate_infwts(params: LevelParams) -> list[OrbitClass]:
 
 
 def orbit_index(params: LevelParams) -> MappingProxyType:
-    """Every interior label mapped to its orbit: a read-only view, built
-    once per (u, v).  A label is a key exactly when `orbit_of` accepts it."""
+    """Every interior label mapped to its orbit: a read-only view of the
+    level's orbit table.  A label is a key exactly when `orbit_of` accepts it."""
     return orbit_table(params).index
 
 

@@ -171,7 +171,7 @@ def suite_fusion_oracle(params: LevelParams, tol=None, window=2):
             keys.append((oracle_term(kappa, ja + jb, 1, 1, twice, charge), lands.get((twice, c)), c))
             count += int(masks[c].sum())
     checks = [key for key in dict.fromkeys(keys) if key[0] is not None or key[1] is not None]
-    targets, r, s = _shift_targets(params.u, params.v), factors.r_index, factors.s_index
+    targets, r, s = _shift_targets(params), factors.r_index, factors.s_index
     rows = smat.vacuum_inverse * smat.matrix
     step = max(1, ORACLE_BLOCK_BYTES // (16 * n * n))
     for a0 in range(0, n, step):

@@ -11,7 +11,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,14 +34,13 @@ from .levels import (
     LevelParams,
     OrbitClass,
     RSLabel,
-    _enumerate_surv,
-    _orbit_table,
+    _surv,
     hw_data,
     j_of,
     jtw_of,
-    level_params,
     orbit_of,
     orbit_table,
+    per_level,
     sigma,
 )
 from .sl3 import fusion_table, kac_walton
@@ -50,9 +48,9 @@ from .w3modular import (
     INTEGER_TOL,
     POLE_TOL,
     _cached_smatrix,
-    _factors_at,
     _position,
     cexp,
+    fusion_factors,
     w3_fusion,
     w3_fusion_support,
 )
@@ -180,13 +178,13 @@ STANDARD_CLASSES = ((2, -4), (-1, 2), (1, -2), (0, 0))
 OMEGA_SHIFTS = ((1, -1, 0), (0, 1, -1), (-1, 0, 1))  # of an s-label, by sign -1 (down) or +1 (up)
 
 
-@lru_cache(maxsize=None)
-def _shift_targets(u: int, v: int) -> np.ndarray:
+@per_level
+def _shift_targets(params: LevelParams) -> np.ndarray:
     """For each orbit, the positions of the orbits of its representative with
     the s-label shifted by each of OMEGA_SHIFTS down, then up: a read-only
-    (n, 6) int64 table, built once per process.  A shifted label on the
+    (n, 6) int64 table, built once per level.  A shifted label on the
     alcove boundary (an entry -1) is no interior label and reads -1."""
-    table = orbit_table(level_params(u, v))
+    table = orbit_table(params)
     targets = np.full((len(table.orbits), 2 * len(OMEGA_SHIFTS)), -1, dtype=np.int64)
     for i, orb in enumerate(table.orbits):
         r, s, j = orb.rep.r, orb.rep.s, 0
@@ -207,7 +205,7 @@ def _standard_rows(params: LevelParams, ia: int, ib: int) -> tuple:
     merged into one row."""
     table = orbit_table(params)
     position, orbits = table.position, table.orbits
-    a, targets = orbits[ia], _shift_targets(params.u, params.v)[ib].tolist()
+    a, targets = orbits[ia], _shift_targets(params)[ib].tolist()
 
     def row(positions) -> tuple:
         out: dict[int, int] = {}
@@ -221,15 +219,15 @@ def _standard_rows(params: LevelParams, ia: int, ib: int) -> tuple:
     return (plain, plain, row(targets[:3]), row(targets[3:]))
 
 
-@lru_cache(maxsize=None)
-def _rows_at(u: int, v: int, ia: int, ib: int) -> tuple:
+@per_level
+def _rows_at(params: LevelParams, ia: int, ib: int) -> tuple:
     """The rows of `_standard_rows` for the orbits at positions ia and ib,
     read straight off `fusion_factors` and `_shift_targets`, built once per
-    process and keyed on ints.  A row is two tuples (less memory than pairs):
+    level and orbit pair.  A row is two tuples (less memory than pairs):
     the orbit positions of its nonzero W3 coefficients, and the coefficients."""
-    f = _factors_at(u, v)
+    f = fusion_factors(params)
     r, s = f.r_index, f.s_index
-    targets = np.concatenate(([ib], _shift_targets(u, v)[ib]))
+    targets = np.concatenate(([ib], _shift_targets(params)[ib]))
     # the plain product, then b's three down- and three up-shifted orbits;
     # a target -1 (no interior label) reads a zero row
     rows = f.n_r[r[ia]][r[targets]][:, r] * f.n_s[s[ia]][s[targets]][:, s] * (targets >= 0)[:, None]
@@ -293,19 +291,19 @@ def _numerator(params: LevelParams, a: HWLabel, scale: int) -> list:
     return [(t + a.ell.twice, n * scale, pos, c) for t, n, pos, c in head + shifted + block]
 
 
-def _product(u: int, v: int, xs, ys, den: int, width: int) -> dict[int, int]:
+def _product(params: LevelParams, xs, ys, den: int, width: int) -> dict[int, int]:
     """The sum of cx * cy * fuse_standard(x, y) over the terms x of xs and y of
     ys, each (twice flow, charge numerator over den, orbit position, coeff),
     on integer keys t * width + n * n_orbits + pos: twice the flow t, the
     charge numerator n mod den and the orbit position (rows: `_rows_at`)."""
-    norb = len(_orbit_table(u, v).orbits)
+    u, v, norb = params.u, params.v, len(orbit_table(params).orbits)
     kappa_den = (2 * u - 3 * v) * (den // (6 * v))  # kappa * den, kappa = (2u - 3v) / 6v
     classes = [(2 * step * width, mult * kappa_den) for step, mult in STANDARD_CLASSES]
     total: dict[int, int] = {}
     for ty, ny, ib, cy in ys:
         for tx, nx, ia, cx in xs:
             t, n, cxy = (tx + ty) * width, nx + ny, cx * cy
-            for (dt, dn), (positions, coeffs) in zip(classes, _rows_at(u, v, ia, ib)):
+            for (dt, dn), (positions, coeffs) in zip(classes, _rows_at(params, ia, ib)):
                 k0 = t + dt + (n + dn) % den * norb
                 for pos, c in zip(positions, coeffs):
                     total[k0 + pos] = total.get(k0 + pos, 0) + cxy * c
@@ -337,7 +335,7 @@ def _divide(terms: dict[int, int], step: int, eps: int, times: int) -> tuple[dic
     return terms, {}
 
 
-def fuse_general(params: LevelParams, a: HWLabel, b, depth: int | None = None) -> FormalSum:
+def fuse_general(params: LevelParams, a: HWLabel, b) -> FormalSum:
     """Grothendieck fusion of a highest-weight label `a` with a highest-weight
     or standard label `b`, from resolutions by standard labels.
 
@@ -349,21 +347,19 @@ def fuse_general(params: LevelParams, a: HWLabel, b, depth: int | None = None) -
     along flow (`_divide`).  If the quotient is not exact, the numerator's
     nonsimple standard terms are rewritten through their exact sequences
     (`rewrite_gaps`) and it is divided again; NotStabilisedError if that is
-    not exact either.  `depth` must be >= 1 and does not change the answer.
+    not exact either.
     """
     if not isinstance(a, HWLabel):
         raise LabelError(f"fuse_general takes a highest-weight label first, not {a}")
     if not isinstance(b, (HWLabel, StandardLabel)):
         raise LabelError(f"fusion takes highest-weight or standard labels, not {b}")
-    if depth is not None and depth < 1:
-        raise LabelError("depth must be >= 1")
-    u, v = params.u, params.v
+    v = params.v
     if isinstance(b, StandardLabel):
         den = math.lcm(6 * v, b.j.denominator)
         ys, times = [(b.ell.twice, b.j.numerator * (den // b.j.denominator), _position(params, b.orbit), 1)], 1
     else:
         den, ys, times = 6 * v, _numerator(params, b, 1), 2
-    orbits, surv = orbit_table(params).orbits, _enumerate_surv(u, v)
+    orbits, surv = orbit_table(params).orbits, _surv(params)
     # a key is t * width + chain: chains below `hw` are the (charge, orbit)
     # pairs of standard labels, those from `hw` on the weight labels of surv
     hw = den * len(orbits)
@@ -391,7 +387,7 @@ def fuse_general(params: LevelParams, a: HWLabel, b, depth: int | None = None) -
             out[x.ell.twice * width + chain] = c
         return out
 
-    numerator = _product(u, v, _numerator(params, a, den // (6 * v)), ys, den, width)
+    numerator = _product(params, _numerator(params, a, den // (6 * v)), ys, den, width)
     quotient, remainder = _divide(numerator, step, eps, times)
     if remainder:
         quotient, remainder = _divide(to_keys(rewrite_gaps(params, to_labels(numerator))), step, eps, times)
@@ -402,30 +398,26 @@ def fuse_general(params: LevelParams, a: HWLabel, b, depth: int | None = None) -
     return to_labels(quotient)
 
 
-def fuse(params: LevelParams, a, b, depth: int | None = None) -> FormalSum:
+def fuse(params: LevelParams, a, b) -> FormalSum:
     """Fusion dispatcher: closed forms where they exist, resolutions otherwise."""
     for x in (a, b):
         if not isinstance(x, (HWLabel, StandardLabel)):
             raise LabelError(f"fusion takes highest-weight or standard labels, not {x}")
-    if depth is not None and depth < 1:
-        raise LabelError("depth must be >= 1")
     if isinstance(a, StandardLabel) and isinstance(b, StandardLabel):
         return fuse_standard(params, a, b)
     if isinstance(a, StandardLabel) or isinstance(b, StandardLabel):
         hw, std = (b, a) if isinstance(a, StandardLabel) else (a, b)
         if orbit_type(params, hw.lam) == 3:
             return fuse_type3_standard(params, hw, std)
-        return fuse_general(params, hw, std, depth)
+        return fuse_general(params, hw, std)
     if orbit_type(params, a.lam) == 3 and orbit_type(params, b.lam) == 3:
         return fuse_type3_type3(params, a, b)
-    return fuse_general(params, a, b, depth)
+    return fuse_general(params, a, b)
 
 
-def fuse_sums(params: LevelParams, fa: FormalSum, fb: FormalSum, depth: int | None = None) -> FormalSum:
+def fuse_sums(params: LevelParams, fa: FormalSum, fb: FormalSum) -> FormalSum:
     """Bilinear extension of `fuse` to formal sums."""
-    return FormalSum.combine(
-        (fuse(params, la, lb, depth), ca * cb) for la, ca in fa for lb, cb in fb
-    )
+    return FormalSum.combine((fuse(params, la, lb), ca * cb) for la, ca in fa for lb, cb in fb)
 
 
 # ---------------------------------------------------------------------------

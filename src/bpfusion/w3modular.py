@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,10 +21,10 @@ from .levels import (
     conjugate_orbit,
     jtw_6v,
     jtw_of,
-    level_params,
     orbit_index,
     orbit_of,
     orbit_table,
+    per_level,
     sigma,
 )
 from .sl3 import (
@@ -373,16 +372,10 @@ class FusionFactors:
         return self.n_r[r[a]][np.ix_(r, r)] * self.n_s[s[a]][np.ix_(s, s)]
 
 
-@lru_cache(maxsize=None)
-def _factors_at(u: int, v: int) -> FusionFactors:
-    return FusionFactors(level_params(u, v))
-
-
+@per_level
 def fusion_factors(params: LevelParams) -> FusionFactors:
-    """The fusion factors at (u, v), built once per process and cached on the
-    two ints, as `_smatrix_at` is: a `LevelParams` key would hash every field
-    on each of the many `w3_fusion` calls of one fusion."""
-    return _factors_at(params.u, params.v)
+    """The fusion factors of the level (see `FusionFactors`)."""
+    return FusionFactors(params)
 
 
 def _position(params: LevelParams, orbit: OrbitClass) -> int:
@@ -420,11 +413,7 @@ def w3_verlinde(params: LevelParams, a: OrbitClass, b: OrbitClass, c: OrbitClass
     return complex(terms.sum())
 
 
-@lru_cache(maxsize=None)
-def _smatrix_at(u: int, v: int) -> W3SMatrix:
-    return W3SMatrix(level_params(u, v))
-
-
+@per_level
 def _cached_smatrix(params: LevelParams) -> W3SMatrix:
-    """The S-matrix at (u, v), built once per process; its arrays are read-only."""
-    return _smatrix_at(params.u, params.v)
+    """The S-matrix at the level, built once per level; its arrays are read-only."""
+    return W3SMatrix(params)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -52,12 +51,12 @@ from bpfusion.labels import (
 from bpfusion.levels import (
     LabelError,
     RSLabel,
-    _enumerate_surv,
+    _surv,
     check_surv,
     enumerate_infwts,
-    level_params,
     orbit_index,
     orbit_table,
+    per_level,
     sigma,
     sigma_inv,
 )
@@ -320,22 +319,21 @@ class DepthNotStabilisedError(NotStabilisedError):
         )
 
 
-@lru_cache(maxsize=None)
-def _resolution_ints(u: int, v: int, lam: int, depth: int) -> tuple:
+@per_level
+def _resolution_ints(params, lam: int, depth: int) -> tuple:
     """resolution(params, I[lam]^0, depth), lam a position in `enumerate_surv`,
     as (twice flow, charge numerator over 6v, orbit position, coefficient)."""
-    params = level_params(u, v)
     position = orbit_table(params).position
-    res = resolution(params, HWLabel(HalfInt(0), _enumerate_surv(u, v)[lam]), depth)
+    res = resolution(params, HWLabel(HalfInt(0), _surv(params)[lam]), depth)
     return tuple(
-        (x.ell.twice, x.j.numerator * 6 * v // x.j.denominator, position[x.orbit], c) for x, c in res.items()
+        (x.ell.twice, x.j.numerator * 6 * params.v // x.j.denominator, position[x.orbit], c) for x, c in res.items()
     )
 
 
-@lru_cache(maxsize=None)
-def _rows(u: int, v: int, ia: int, ib: int) -> tuple:
-    """`verlinde._standard_rows`, which reads `w3_fusion`, keyed on ints."""
-    return _standard_rows(level_params(u, v), ia, ib)
+@per_level
+def _rows(params, ia: int, ib: int) -> tuple:
+    """`verlinde._standard_rows`, which reads `w3_fusion`, kept on the level."""
+    return _standard_rows(params, ia, ib)
 
 
 def _resolved_product(params, a: HWLabel, res_b: FormalSum, depth_at) -> FormalSum:
@@ -346,7 +344,7 @@ def _resolved_product(params, a: HWLabel, res_b: FormalSum, depth_at) -> FormalS
     den = math.lcm(6 * v, *(y.j.denominator for y, _ in res_b.items()))
     scale = den // (6 * v)
     classes = [(2 * step, mult * (params.kappa * den).numerator) for step, mult in STANDARD_CLASSES]
-    lam, a_twice = bisect_left(_enumerate_surv(u, v), check_surv(params, a.lam)), a.ell.twice
+    lam, a_twice = bisect_left(_surv(params), check_surv(params, a.lam)), a.ell.twice
     position = orbit_table(params).position
     placed: dict = {}  # (charge, orbit) of a term of res_b -> [(twice its flow, coeff)]
     for y, cy in res_b.items():
@@ -355,9 +353,9 @@ def _resolved_product(params, a: HWLabel, res_b: FormalSum, depth_at) -> FormalS
     for (j, orb_b), copies in placed.items():
         num_b, ib = j.numerator * (den // j.denominator), position[orb_b]
         part: dict[tuple[int, int, int], int] = {}
-        for tx, nx, ia, cx in _resolution_ints(u, v, lam, depth_at(min(t for t, _ in copies) // 2)):
+        for tx, nx, ia, cx in _resolution_ints(params, lam, depth_at(min(t for t, _ in copies) // 2)):
             tx, num = tx + a_twice, nx * scale + num_b
-            for (dt, dn), row in zip(classes, _rows(u, v, ia, ib)):
+            for (dt, dn), row in zip(classes, _rows(params, ia, ib)):
                 t, n = tx + dt, (num + dn) % den
                 for pos, c in row:
                     key = (t, n, pos)

@@ -125,12 +125,14 @@ class TestErrors:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: depth must be >= 1") and "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("depth", ["0", "-100"])
-    def test_fuse_rejects_a_depth_below_one(self, capsys, depth):
+    @pytest.mark.parametrize("depth", ["0", "-100", "12"])
+    def test_fuse_refuses_a_depth(self, capsys, depth):
+        """fuse has no --depth: a product is the exact quotient of whole resolutions."""
         code = main(["fuse", "5", "4", "I[0,2,0;1,0,0]", "R~[1/7;[[0,0,2;0,0,1]]]^0", "--depth", depth])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err.startswith("error: depth must be >= 1") and "Traceback" not in captured.err
+        assert f"error: unrecognized arguments: --depth {depth}" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_unwritable_out_file(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
@@ -177,7 +179,7 @@ class TestErrors:
         ids=" ".join,
     )
     def test_an_option_the_command_does_not_read_is_refused(self, capsys, argv):
-        """--depth belongs to fuse and resolve, --tol to verify."""
+        """--depth belongs to resolve, --tol to verify."""
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""

@@ -8,6 +8,7 @@ and the vectorised oracle must agree with the loop over orbits it
 replaced (kept below as `loop_oracle`).
 """
 import copy
+import dataclasses
 import random
 import re
 import sys
@@ -273,19 +274,17 @@ def test_threads_on_a_fresh_level_pair_agree():
     shared_hw = [(parse_label(p, str(h)), parse_label(p, str(b))) for h, b in hw_pairs]
     fresh = [x for pair in shared_std + shared_hw for x in pair] + [h.lam for h, _ in shared_hw]
     assert not any("_hash" in vars(x) for x in fresh)
-    # make sure no thread finds (7, 4) already built
-    w3modular._smatrix_at.cache_clear()
-    w3modular._factors_at.cache_clear()
-    labels._gap_table.cache_clear()
+    # a fresh level: no thread finds a table of (7, 4) already built
+    q = dataclasses.replace(p)
     barrier = threading.Barrier(4, timeout=60)
 
     def work():
         barrier.wait()
-        smat = _cached_smatrix(p)
-        factors = w3modular.fusion_factors(p)
-        products = [fuse_standard(p, a, b) for a, b in shared_std] + [fuse(p, h, b) for h, b in shared_hw]
-        arrays = (factors.n_r, factors.n_s, factors.r_index, factors.s_index)
-        return smat.matrix, [verlinde_oracle(p, a, b, c) for a, b, c in draws], products, arrays
+        smat = _cached_smatrix(q)
+        factors = w3modular.fusion_factors(q)
+        gaps = labels.gap_table(q)
+        products = [fuse_standard(q, a, b) for a, b in shared_std] + [fuse(q, h, b) for h, b in shared_hw]
+        return smat, factors, gaps, [verlinde_oracle(q, a, b, c) for a, b, c in draws], products
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -295,16 +294,19 @@ def test_threads_on_a_fresh_level_pair_agree():
             results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    for matrix, values, products, arrays in results:
-        assert np.array_equal(matrix, results[0][0])
+    # every thread holds the one object stored on the level, equal to p's
+    smat, factors, gaps = _cached_smatrix(q), w3modular.fusion_factors(q), labels.gap_table(q)
+    for got_smat, got_factors, got_gaps, values, products in results:
+        assert got_smat is smat and got_factors is factors and got_gaps is gaps
         assert values == expected
         assert products == expected_std + expected_hw
-        for arr, first in zip(arrays, results[0][3]):
-            assert arr.dtype == np.int64 and not arr.flags.writeable
-            assert np.array_equal(arr, first)
-    assert np.array_equal(_cached_smatrix(p).matrix, results[0][0])
-    factors = w3modular.fusion_factors(p)
-    assert all(np.array_equal(x, y) for x, y in zip((factors.n_r, factors.n_s), results[0][3]))
+    assert smat is not _cached_smatrix(p) and np.array_equal(smat.matrix, _cached_smatrix(p).matrix)
+    assert gaps == labels.gap_table(p)
+    cached = w3modular.fusion_factors(p)
+    for name in ("n_r", "n_s", "r_index", "s_index"):
+        arr = getattr(factors, name)
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert np.array_equal(arr, getattr(cached, name))
 
 
 # ---------------------------------------------------------------------------
@@ -548,19 +550,20 @@ def test_suite_agrees_with_the_loop_suite(u, v):
 
 
 @pytest.mark.parametrize("u,v,picks", [(5, 4, (0,)), (4, 5, (-1,)), (5, 4, (0, -1))], ids=str)
-def test_dropped_terms_fail_at_the_loop_suites_candidate(monkeypatch, u, v, picks):
+def test_dropped_terms_fail_at_the_loop_suites_candidate(u, v, picks):
     """Fusion factors missing one (or two) nonzero sl3 couplings, so the
     closed form misses every term they feed: the batched suite, which
     gathers the factors, names the first candidate the loop suite, which
     calls fuse_standard, names."""
-    real = w3modular._factors_at(u, v)
+    real = w3modular.fusion_factors(level_params(u, v))
     dropped = copy.copy(real)
     n_r = real.n_r.copy()
     n_r.flat[np.flatnonzero(n_r)[list(picks)]] = 0
     n_r.setflags(write=False)
     dropped.n_r = n_r
-    monkeypatch.setattr(w3modular, "_factors_at", lambda uu, vv: dropped)
-    p = level_params(u, v)
+    # a fresh level that holds the dropped factors in place of its own
+    p = dataclasses.replace(level_params(u, v))
+    p.tables[w3modular.fusion_factors] = {(): dropped}
     got = verify.suite_fusion_oracle(p)
     assert not got[0]
     assert got == loop_fusion_oracle_suite(p)
@@ -681,7 +684,7 @@ def test_a_perturbed_factor_fails_both_suites_at_the_same_triple(monkeypatch, u,
     """One sl3 fusion coefficient raised by 1 on the r- or s-side: the array
     suite (through fusion_factors) and the loop suite (through the reference w3_fusion)
     name the same first triple and the same integer."""
-    p = level_params(u, v)
+    p = dataclasses.replace(level_params(u, v))  # a fresh level builds its factors anew
     table = orbit_table(p)
     level = u - 3 if side == "r" else v - 3
     x, y, z = (getattr(table.fusion_rep[table.orbits[i]], side) for i in picks)
@@ -692,11 +695,7 @@ def test_a_perturbed_factor_fails_both_suites_at_the_same_triple(monkeypatch, u,
         return {**out, z: out.get(z, 0) + 1} if (lev, t, tp) == (level, x, y) else out
 
     monkeypatch.setattr(w3modular, "fusion_table", perturbed)
-    w3modular._factors_at.cache_clear()
-    try:
-        got, want = verify.suite_w3_verlinde(p), loop_w3_verlinde_suite(p)
-    finally:
-        w3modular._factors_at.cache_clear()
+    got, want = verify.suite_w3_verlinde(p), loop_w3_verlinde_suite(p)
     assert not got[0] and not want[0]
     # the numeric value is a float sum taken in another order: compare the
     # triple and the integer only

@@ -6,13 +6,13 @@ label built.  W3 fusion coefficients are read off the two sl3 fusion
 tables, so the Kac-Walton entry point, which re-checks integrability on
 every call, is never reached.  The resolution path builds the series
 (head and periodic block) of each highest-weight label once; that count
-is taken on cleared series and row tables, which otherwise keep every
-series and W3 row for the rest of the process.  It builds the product on
-integer keys: `fuse_standard` is never called, each distinct pair of
-orbits has its W3 rows read once, and labels are built only for the
-terms that survive.
+is taken on a fresh level (`dataclasses.replace`), whose tables are all
+empty, since a level keeps every series and W3 row it builds.  It builds
+the product on integer keys: `fuse_standard` is never called, each
+distinct pair of orbits has its W3 rows read once, and labels are built
+only for the terms that survive.
 """
-import functools
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -98,21 +98,18 @@ def test_highest_weight_pair_reads_few_w3_coefficients(monkeypatch, first, secon
 
 
 def _counting_series(monkeypatch, built):
-    """Record the label of every series build (`labels._series` misses),
-    after clearing the tables that keep series and W3 rows."""
-    labels._series.cache_clear()
-    verlinde._rows_at.cache_clear()
+    """Record the label of every series build (`labels._series` misses)."""
     build = labels._series.__wrapped__
 
-    def counted(u, v, lam):
-        built.append(levels.enumerate_surv(level_params(u, v))[lam])
-        return build(u, v, lam)
+    def counted(params, lam):
+        built.append(levels.enumerate_surv(params)[lam])
+        return build(params, lam)
 
-    monkeypatch.setattr(labels, "_series", functools.lru_cache(maxsize=None)(counted))
+    monkeypatch.setattr(labels, "_series", levels.per_level(counted))
 
 
 def test_one_series_against_a_standard_label(monkeypatch):
-    p = level_params(7, 5)
+    p = dataclasses.replace(level_params(7, 5))  # a fresh level: no series or rows built yet
     a = parse_label(p, "I[1,1,2;0,1,1]^1/2")
     b = parse_label(p, "R~[5/97;[[1,1,2;0,1,1]]]^1")
     built = []
@@ -122,7 +119,7 @@ def test_one_series_against_a_standard_label(monkeypatch):
 
 
 def test_one_series_per_highest_weight_label(monkeypatch):
-    p = level_params(5, 4)
+    p = dataclasses.replace(level_params(5, 4))
     a = parse_label(p, "I[2,0,0;1,-1,1]^3")
     b = parse_label(p, "I[1,0,1;1,-1,1]^1")
     built = []

@@ -13,10 +13,11 @@ the sum of `fuse_standard` over the same terms; `fuse_standard`, read off
 answer must equal the two-top, depth-truncated `fuse_general` of
 `fusion_reference`, whose resolutions come from the three loops.
 
-The series and the rows live in process-wide tables keyed on ints; their
-entries must be what they stand for, and threads filling them from empty
-must agree.
+The series and the rows are tables on the level (`levels.per_level`),
+keyed on ints; their entries must be what they stand for, and threads
+filling them on a fresh level must agree.
 """
+import dataclasses
 import math
 import random
 import sys
@@ -143,7 +144,7 @@ def test_integer_product_matches_standard_fusion_term_by_term(data):
     )
     den = math.lcm(6 * p.v, 97)
     width = den * len(enumerate_infwts(p)) + len(enumerate_surv(p))
-    product = _product(p.u, p.v, _ints(p, res_a, den), _ints(p, res_b, den), den, width)
+    product = _product(p, _ints(p, res_a, den), _ints(p, res_b, den), den, width)
     assert _labels(p, product, den) == expected
 
 
@@ -192,26 +193,22 @@ def test_highest_weight_pairs_match_the_reference(data):
     [("I[2,0,0;1,-1,1]^3", "R~[5/97;[[1,0,1;1,0,0]]]^1"), ("I[2,0,0;1,-1,1]^3", "I[1,0,1;1,-1,1]^1")],
     ids=["hw-by-standard", "hw-by-hw"],
 )
-def test_a_perturbed_block_term_fails_or_differs(monkeypatch, change, first, second):
+def test_a_perturbed_block_term_fails_or_differs(change, first, second):
     """Flipping the sign of one block term of a's series, or dropping it,
     raises NotStabilisedError or changes the answer, for every block term."""
     p = level_params(5, 4)
     a, b = labels.parse_label(p, first), labels.parse_label(p, second)
     expected = reference.fuse_general(p, a, b)
-    original = labels._series
-    target = original(p.u, p.v, enumerate_surv(p).index(a.lam))
-    for k in range(len(target[1])):
-        head, block = target
+    lam = enumerate_surv(p).index(a.lam)
+    head, block = labels._series(p, lam)
+    for k in range(len(block)):
         t, n, pos, c = block[k]
         changed = block[:k] + (((t, n, pos, -c),) if change == "flip" else ()) + block[k + 1 :]
-
-        def series(u, v, lam, head=head, changed=changed):
-            out = original(u, v, lam)
-            return (head, changed) if out == target else out
-
-        monkeypatch.setattr(labels, "_series", series)
+        # a fresh level that holds the changed series of a in place of its own
+        q = dataclasses.replace(p)
+        q.tables[labels._series] = {(lam,): (head, changed)}
         try:
-            got = fuse_general(p, a, b)
+            got = fuse_general(q, a, b)
         except NotStabilisedError as exc:
             assert exc.uv == (5, 4) and exc.a == a and exc.b == b and exc.terms
             text = str(exc)
@@ -220,11 +217,10 @@ def test_a_perturbed_block_term_fails_or_differs(monkeypatch, change, first, sec
             assert str(FormalSum(list(exc.terms)[: verlinde.UNSETTLED_SHOWN])) in text
         else:
             assert got != expected, k
-        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
-# The process-wide series and row tables
+# The series and row tables on the level
 
 
 @pytest.mark.parametrize("u,v", PAIRS)
@@ -251,38 +247,24 @@ def test_rows_read_off_the_factors_equal_the_w3_fusion_rows(u, v):
     n = len(enumerate_infwts(p))
     for ia in range(n):
         for ib in range(n):
-            rows, reference_rows = _rows_at(u, v, ia, ib), _standard_rows(p, ia, ib)
+            rows, reference_rows = _rows_at(p, ia, ib), _standard_rows(p, ia, ib)
             assert [dict(zip(*row)) for row in rows] == [dict(row) for row in reference_rows]
 
 
-def _recorded(monkeypatch, module, name, calls):
-    """Record the arguments and value of every call of module's `name`."""
-    table = getattr(module, name)
-
-    def recorded(*args):
-        out = table(*args)
-        calls.append((args, out))
-        return out
-
-    monkeypatch.setattr(module, name, recorded)
-
-
-def test_tables_are_keyed_on_ints_and_hold_tuples(monkeypatch):
-    p = level_params(5, 4)
-    rows, series = [], []
-    _recorded(monkeypatch, verlinde, "_rows_at", rows)
-    _recorded(monkeypatch, labels, "_series", series)
+def test_tables_are_keyed_on_ints_and_hold_tuples():
+    p = dataclasses.replace(level_params(5, 4))  # a fresh level: its tables hold this test's entries only
     a = hw_label(p, RSLabel((1, 0, 1), (1, -1, 1)), 1)
     fuse(p, hw_label(p, RSLabel((2, 0, 0), (1, -1, 1)), 3), a)
     fuse(p, a, standard_label(Fraction(5, 97), enumerate_infwts(p)[3], 1))
+    rows, series = p.tables[verlinde._rows_at], p.tables[labels._series]
     assert rows and series
-    for args, out in rows + series:
-        assert all(type(x) is int for x in args), args
+    for key, out in [*rows.items(), *series.items()]:
+        assert all(type(x) is int for x in key), key
         assert type(out) is tuple and all(type(part) is tuple for part in out)
-    for _, out in rows:
+    for out in rows.values():
         assert len(out) == 4 and all(len(row) == 2 for row in out)
         assert all(type(x) is int for row in out for part in row for x in part)
-    for _, out in series:
+    for out in series.values():
         assert len(out) == 2
         assert all(len(term) == 4 and all(type(x) is int for x in term) for part in out for term in part)
 
@@ -299,13 +281,12 @@ def test_threads_filling_the_tables_from_empty_agree():
         for _ in range(12)
     ] + [(hw_label(p, rng.choice(surv), 0), hw_label(p, rng.choice(surv), 1)) for _ in range(2)]
     expected = [fuse(p, a, b) for a, b in pairs]
-    labels._series.cache_clear()
-    verlinde._rows_at.cache_clear()
+    q = dataclasses.replace(p)  # a fresh level: every table starts empty
     barrier = threading.Barrier(4, timeout=60)
 
     def work():
         barrier.wait()
-        return [fuse(p, a, b) for a, b in pairs]
+        return [fuse(q, a, b) for a, b in pairs]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -316,4 +297,4 @@ def test_threads_filling_the_tables_from_empty_agree():
     finally:
         sys.setswitchinterval(interval)
     assert all(products == expected for products in results)
-    assert verlinde._rows_at.cache_info().currsize and labels._series.cache_info().currsize
+    assert q.tables[verlinde._rows_at] and q.tables[labels._series]

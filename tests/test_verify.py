@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import pytest
@@ -88,15 +89,18 @@ def test_fusion_oracle_gathers_the_closed_form_and_takes_one_product_per_term(mo
     assert calls == {"fuse_standard": 0, "oracle_values": blocks}
 
 
-def _perturbed_factors(u, v, tensor, pick, delta):
-    """The fusion factors at (u, v) with entry `pick` of the flat tensor moved by delta."""
-    real = w3modular._factors_at(u, v)
+def _level_with_perturbed_factors(u, v, tensor, pick, delta):
+    """A fresh level (u, v) whose fusion factors have entry `pick` of the flat
+    tensor moved by delta."""
+    real = w3modular.fusion_factors(level_params(u, v))
     arr = getattr(real, tensor).copy()
     arr.flat[pick] += delta
     arr.setflags(write=False)
     out = copy.copy(real)
     setattr(out, tensor, arr)
-    return out
+    p = dataclasses.replace(level_params(u, v))
+    p.tables[w3modular.fusion_factors] = {(): out}
+    return p
 
 
 @pytest.mark.parametrize(
@@ -113,28 +117,25 @@ def _perturbed_factors(u, v, tensor, pick, delta):
 def test_a_perturbed_factor_fails_both_suites_alike(monkeypatch, u, v, tensor, pick, delta, block_bytes):
     """The suite and the reference, which reads the factors through
     fuse_standard, name the same first failure."""
-    perturbed = _perturbed_factors(u, v, tensor, pick, delta)
-    monkeypatch.setattr(w3modular, "_factors_at", lambda uu, vv: perturbed)
+    p = _level_with_perturbed_factors(u, v, tensor, pick, delta)
     monkeypatch.setattr(verify, "ORACLE_BLOCK_BYTES", block_bytes)
-    p = level_params(u, v)
     got = verify.suite_fusion_oracle(p)
     assert not got[0]
     assert got == reference.fusion_oracle_suite(p)
 
 
 @pytest.mark.parametrize("u,v,pick", [(5, 4, 0), (5, 4, 9), (4, 5, 17), (6, 5, 40), (5, 7, 101)], ids=str)
-def test_a_perturbed_shift_target_fails_both_suites_alike(monkeypatch, u, v, pick):
+def test_a_perturbed_shift_target_fails_both_suites_alike(u, v, pick):
     """One omega-shift target moved (onto the boundary, or off it onto an
     orbit): the suite and the reference, whose fuse_standard reads the same
     table, name the same first failure."""
-    real = verlinde._shift_targets(u, v)
-    targets = real.copy()
+    targets = verlinde._shift_targets(level_params(u, v)).copy()
     old = targets.flat[pick]
     targets.flat[pick] = -1 if old >= 0 else pick % len(targets)
     targets.setflags(write=False)
-    for module in (verify, verlinde):
-        monkeypatch.setattr(module, "_shift_targets", lambda uu, vv: targets)
-    p = level_params(u, v)
+    # a fresh level that holds the moved targets in place of its own
+    p = dataclasses.replace(level_params(u, v))
+    p.tables[verlinde._shift_targets] = {(): targets}
     got = verify.suite_fusion_oracle(p)
     assert not got[0]
     assert got == reference.fusion_oracle_suite(p)
