@@ -3,8 +3,7 @@
 Highest-weight labels are stored in a unique normal form (leftmost orbit
 representative plus a residual flow index), so isomorphism of flowed
 modules is plain equality.  Standard labels live in the shifted grading
-where the flow index is integral; conversions to the half-integer-flow
-presentation are explicit.
+where the flow index is integral.
 """
 from __future__ import annotations
 
@@ -32,10 +31,6 @@ from .levels import (
 )
 
 
-class ConjugateNotHighestWeightError(LabelError):
-    """The conjugated module has an infinite-dimensional top space."""
-
-
 @dataclass(frozen=True, order=True)
 class HalfInt:
     """An element of (1/2)Z, stored as twice its value."""
@@ -44,10 +39,14 @@ class HalfInt:
 
     @staticmethod
     def of(x) -> "HalfInt":
+        """x as a half-integer: a HalfInt, an int, or a Fraction or text of denominator
+        1 or 2.  Anything else is a LabelError, a float too (binary, so inexact)."""
         if isinstance(x, HalfInt):
             return x
         if isinstance(x, int):
             return HalfInt(2 * x)
+        if isinstance(x, float):
+            raise LabelError(f"flow {x!r} is a float, not an exact half-integer")
         try:
             frac = Fraction(x)
         except (TypeError, ValueError, OverflowError):  # nan, +-inf and what is no number
@@ -183,13 +182,6 @@ def spectral_flow(params: LevelParams, label: Label, m) -> Label:
     return StandardLabel(label.ell + m, label.j, label.orbit)
 
 
-def flow_weight_shift(params: LevelParams, j, delta, m) -> tuple[Fraction, Fraction]:
-    """Charge and conformal weight of the flow image of a weight vector."""
-    m = HalfInt.of(m).as_fraction()
-    j = Fraction(j)
-    return j + 2 * m * params.kappa, Fraction(delta) + m * j + m * m * params.kappa
-
-
 def conjugate_hw(params: LevelParams, label: HWLabel) -> HWLabel:
     """Conjugate of a flowed highest-weight label, renormalised."""
     r, s = label.lam.r, label.lam.s
@@ -197,33 +189,8 @@ def conjugate_hw(params: LevelParams, label: HWLabel) -> HWLabel:
     return hw_label(params, image, -label.ell)
 
 
-def conjugate_twisted_hw(params: LevelParams, label: HWLabel) -> HWLabel:
-    """Conjugate of a twisted highest-weight module, as a twisted label.
-
-    Only defined when the module's top space is finite-dimensional;
-    otherwise the conjugate is no highest-weight module and a typed
-    error is raised.
-    """
-    if label.ell.is_integer:
-        raise LabelError(f"{label} is untwisted; use conjugate_hw")
-    steps = label.ell - HalfInt.of(Fraction(1, 2))
-    if not (0 <= steps.twice // 2 <= orbit_type(params, label.lam) - 1):
-        raise LabelError(f"{label} is not a twisted highest-weight module")
-    nu = label.lam
-    for _ in range(steps.twice // 2):
-        flows = [img for m, img in hw_flow_maps(params, nu) if m == HalfInt.of(1)]
-        nu = flows[0]
-    if nu.s[1] != -1:
-        raise ConjugateNotHighestWeightError(
-            f"the top space of the twisted module over {nu} is infinite-dimensional"
-        )
-    r, s = nu.r, nu.s
-    image = RSLabel((r[2], r[1], r[0]), (s[2], -1, s[0]))
-    return hw_label(params, image, Fraction(1, 2))
-
-
 # ---------------------------------------------------------------------------
-# Standard labels: gaps, conversions
+# Standard labels: gaps
 
 
 @per_level
@@ -255,19 +222,10 @@ def is_nonsimple_standard(params: LevelParams, label: StandardLabel) -> bool:
     return gap_member(params, label) is not None
 
 
-def gap_charges(params: LevelParams, orbit: OrbitClass, convention: str = "integral") -> set[Fraction]:
-    """The three charges at which the standard family over `orbit` is nonsimple.
-
-    convention: "integral" for the integral-flow grading used by
-    StandardLabel, "twisted" for the half-integer-flow presentation,
-    "conjugate" for the opposite integral regrading.
-    """
-    shift = {
-        "integral": params.kappa,
-        "twisted": Fraction(0),
-        "conjugate": -params.kappa,
-    }[convention]
-    return {_mod1(jtw_of(params, member) + shift) for member in orbit.members}
+def gap_charges(params: LevelParams, orbit: OrbitClass) -> set[Fraction]:
+    """The three charges at which the standard family over `orbit` is
+    nonsimple, in the integral-flow grading of StandardLabel."""
+    return {_mod1(jtw_of(params, member) + params.kappa) for member in orbit.members}
 
 
 @per_level
@@ -283,16 +241,6 @@ def nonsimple_standard(params: LevelParams, member: RSLabel, ell=0) -> StandardL
     except KeyError:
         raise LabelError(f"{member} is not an interior label") from None
     return StandardLabel(HalfInt.of(ell), charge, orbit)
-
-
-def standard_to_twisted(params: LevelParams, label: StandardLabel) -> tuple[HalfInt, Fraction, OrbitClass]:
-    """Present a standard label as a flowed module in the half-integer-flow grading."""
-    return label.ell + HalfInt.of(Fraction(1, 2)), _mod1(label.j - params.kappa), label.orbit
-
-
-def twisted_to_standard(params: LevelParams, ell, j, orbit: OrbitClass) -> StandardLabel:
-    ell = HalfInt.of(ell)
-    return standard_label(_exact_charge(j) + params.kappa, orbit, ell - HalfInt.of(Fraction(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +325,6 @@ class FormalSum:
         out = FormalSum()
         for label, coeff in self._terms.items():
             out._add(spectral_flow(params, label, m), coeff)
-        return out
-
-    def restrict(self, pred) -> "FormalSum":
-        out = FormalSum()
-        for label, coeff in self._terms.items():
-            if pred(label):
-                out._add(label, coeff)
         return out
 
     def __str__(self):

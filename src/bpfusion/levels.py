@@ -296,12 +296,6 @@ def enumerate_infwts(params: LevelParams) -> list[OrbitClass]:
     return list(orbit_table(params).orbits)
 
 
-def orbit_index(params: LevelParams) -> MappingProxyType:
-    """Every interior label mapped to its orbit: a read-only view of the
-    level's orbit table.  A label is a key exactly when `orbit_of` accepts it."""
-    return orbit_table(params).index
-
-
 # ---------------------------------------------------------------------------
 # Highest-weight data
 

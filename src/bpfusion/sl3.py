@@ -149,13 +149,6 @@ def weyl_character(t: Weight2, xi) -> complex:
     return sum(m * cmath.exp(ip_c(mu, xi)) for mu, m in weight_multiplicities(t).items())
 
 
-def weyl_character_quotient(t: Weight2, xi) -> complex:
-    """Weyl-quotient form of the character; singular where the denominator vanishes."""
-    num = sum(d * cmath.exp(ip_c(_mat_apply(m, (t[0] + 1, t[1] + 1)), xi)) for m, d in WEYL)
-    den = sum(d * cmath.exp(ip_c(_mat_apply(m, RHO), xi)) for m, d in WEYL)
-    return num / den
-
-
 def _coupling(level: int | None, x: Weight2, y: Weight2, z: Weight2) -> int:
     """Number of invariants in L(x) (x) L(y) (x) L(z), at an affine level or,
     for level None, in the finite tensor product: the Begin-Mathieu-Walton

@@ -110,12 +110,16 @@ def suite_w3_verlinde(params: LevelParams, tol=None):
     return True, f"{len(orbits) ** 3} triples"
 
 
-def suite_appendix(params: LevelParams, tol=None, samples=30, seed=7):
+# the appendix suite's random draws: how many, and the seed they come from
+APPENDIX_SAMPLES, APPENDIX_SEED = 30, 7
+
+
+def suite_appendix(params: LevelParams, tol=None):
     tol = _tol(tol)
-    rng = random.Random(seed)
+    rng = random.Random(APPENDIX_SEED)
     orbits = enumerate_infwts(params)
     done = 0
-    for _ in range(samples):
+    for _ in range(APPENDIX_SAMPLES):
         a = rng.choice(orbits).members[rng.randrange(3)]
         b = rng.choice(orbits).members[rng.randrange(3)]
         try:
@@ -139,12 +143,14 @@ def suite_appendix(params: LevelParams, tol=None, samples=30, seed=7):
 # the size of a complex array one block of the fusion-oracle suite makes, in
 # bytes (or one a's, if larger); about twelve such arrays are live at once
 ORACLE_BLOCK_BYTES = 2**20
+# the fusion-oracle suite's candidates take flows -ORACLE_WINDOW to ORACLE_WINDOW + 1
+ORACLE_WINDOW = 2
 
 
-def suite_fusion_oracle(params: LevelParams, tol=None, window=2):
+def suite_fusion_oracle(params: LevelParams, tol=None):
     """The Verlinde oracle against the closed-form standard product on every
-    simple candidate (a, b, ell, shift, c): 4 charge shifts, flows -window
-    to window + 1, every orbit.
+    simple candidate (a, b, ell, shift, c): 4 charge shifts, flows
+    -ORACLE_WINDOW to ORACLE_WINDOW + 1, every orbit.
 
     a and b have charges 1/7 and 2/7 at flow 0, so each class has one term
     of D's expansion and the same closed-form terms (STANDARD_CLASSES) for
@@ -164,7 +170,7 @@ def suite_fusion_oracle(params: LevelParams, tol=None, window=2):
     for i, (step, mult) in enumerate(STANDARD_CLASSES):
         lands[2 * step, charges.index(_mod1(ja + jb + mult * kappa))] = i
     keys, count = [], 0  # per class, in order: (term, closed-form term or None, charge index)
-    for twice in range(-2 * window, 2 * window + 4, 2):
+    for twice in range(-2 * ORACLE_WINDOW, 2 * ORACLE_WINDOW + 4, 2):
         for charge in charges:
             c = charges.index(charge)
             # standard inputs at flow 0: charge offset ja + jb, 2K = 1, D to the first power
@@ -190,7 +196,7 @@ def suite_fusion_oracle(params: LevelParams, tol=None, window=2):
             k = next(k for k, key in enumerate(keys) if key in bad and bad[key][ia, ib].any())
             (term, land, c), ic = keys[k], int(np.argmax(bad[keys[k]][ia, ib]))
             a, b = standard_label(ja, orbits[a0 + ia], 0), standard_label(jb, orbits[ib], 0)
-            candidate = standard_label(charges[c], orbits[ic], HalfInt(2 * (k // len(charges) - window)))
+            candidate = standard_label(charges[c], orbits[ic], HalfInt(2 * (k // len(charges) - ORACLE_WINDOW)))
             got = oracle_integers(params, a, b, values[term][ia, ib, ic : ic + 1], lambda _: candidate)
             want = 0 if land is None else parts[land][ia, ib, ic]
             return False, f"oracle mismatch at {candidate}: {got[0]} vs {want}"

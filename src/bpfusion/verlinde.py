@@ -570,19 +570,6 @@ def verlinde_oracle(params: LevelParams, a, b, candidate: StandardLabel) -> int:
     return int(oracle_integers(params, a, b, values[i : i + 1], lambda _: candidate)[0])
 
 
-def verlinde_oracle_row(params: LevelParams, a, b, ell, charge) -> np.ndarray:
-    """Coefficients of standard_label(charge, c, ell) in a x b for every orbit
-    c of `enumerate_infwts`, as one integer vector.  Nonsimple candidates,
-    where the oracle is undefined, read 0."""
-    charge, ell = _mod1(charge), HalfInt.of(ell)
-    simple = simple_candidates(params, charge)
-    values = VerlindeOracle(params, a, b).values(ell, charge)
-    orbits = orbit_table(params).orbits
-    out = oracle_integers(params, a, b, values, lambda i: standard_label(charge, orbits[i], ell), simple)
-    out[~simple] = 0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Simple currents and the type-3 subring
 

@@ -21,7 +21,6 @@ from .levels import (
     conjugate_orbit,
     jtw_6v,
     jtw_of,
-    orbit_index,
     orbit_of,
     orbit_table,
     per_level,
@@ -275,31 +274,6 @@ def tensor_sum_check(
     return abs(total - rhs) <= tol
 
 
-def complete_symmetric_sum(x: complex, xs, m: int) -> complex:
-    """h_m(x1, x2, x3) scaled by x^m, summed directly."""
-    total = 0j
-    for p in range(m + 1):
-        for q in range(m + 1 - p):
-            total += xs[0] ** p * xs[1] ** q * xs[2] ** (m - p - q)
-    return x**m * total
-
-
-def symmetric_sum_closed_form_check(x, xs, v: int, tol: float = DEFAULT_TOL) -> bool:
-    """The truncated generating function of complete symmetric polynomials
-    collapses when the three arguments share their v-th power."""
-    if len({round(z.real, 9) + 1j * round(z.imag, 9) for z in xs}) != 3:
-        raise SingularInputError("arguments must be distinct")
-    for z in xs:
-        if abs(1 - x * z) < 1e3 * tol:
-            raise SingularInputError("x is too close to an inverse argument")
-    powers = [z**v for z in xs]
-    if max(abs(p - powers[0]) for p in powers) > tol:
-        raise SingularInputError("arguments must share their v-th power")
-    lhs = sum(complete_symmetric_sum(x, xs, m) for m in range(v - 2))
-    rhs = (1 - x**v * powers[1]) / ((1 - x * xs[0]) * (1 - x * xs[1]) * (1 - x * xs[2]))
-    return abs(lhs - rhs) <= tol
-
-
 def _gap_sines(params: LevelParams, jp: Fraction, orbit: OrbitClass):
     """The offsets c_i whose sines control every denominator below."""
     return [Fraction(jp) - params.kappa - jtw_of(params, m) for m in orbit.members]
@@ -341,7 +315,7 @@ def w3_fusion_with_label(params: LevelParams, a: OrbitClass, b_label: RSLabel, c
         return 0
     if any(x < -1 for x in b_label.s) or any(x < 0 for x in b_label.r):
         raise LabelError(f"{b_label} is outside the extended label range")
-    b = orbit_index(params).get(b_label)
+    b = orbit_table(params).index.get(b_label)
     if b is None:
         raise LabelError(f"{b_label} is not an interior label at ({params.u},{params.v})")
     return w3_fusion(params, a, b, c)

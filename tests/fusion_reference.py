@@ -21,6 +21,14 @@ independent references those fast paths are checked against:
 the closed form as integer gathers: one `fuse_standard` per (a, b) pair,
 its terms placed label by label into a (b, class, orbit) array.
 
+Some names live here because the library itself never calls them, while
+two test files do: `standard_to_twisted` and `twisted_to_standard`, the
+conversions between the integral and the half-integer flow gradings;
+`complete_symmetric_sum` and `symmetric_sum_closed_form_check`, the
+collapse of a truncated generating function; `verlinde_oracle_row`, the
+oracle's coefficients of one class over every orbit; and `restrict`, the
+terms of a formal sum that satisfy a predicate.
+
 `resolution` is the resolution of a highest-weight module by its three
 loops, cut at a depth, and `fuse_general` the depth-truncated fusion that
 preceded the exact division by (1 - εq^P): both resolutions cut about 12v
@@ -42,6 +50,7 @@ from bpfusion.labels import (
     HalfInt,
     HWLabel,
     StandardLabel,
+    _exact_charge,
     _mod1,
     hw_label,
     nonsimple_standard,
@@ -54,12 +63,12 @@ from bpfusion.levels import (
     _surv,
     check_surv,
     enumerate_infwts,
-    orbit_index,
     orbit_table,
     per_level,
     sigma,
     sigma_inv,
 )
+from bpfusion.verify import ORACLE_WINDOW
 from bpfusion.verlinde import STANDARD_CLASSES, NotStabilisedError, _standard_rows
 from bpfusion.sl3 import WEYL, _mat_apply, dominant, integrable, ip, weight_multiplicities
 
@@ -175,12 +184,12 @@ def w3_fusion_support(params, a, b) -> list:
     """The orbits c where w3_fusion(a, b, c) can be nonzero: each pair of
     entries of the two tables is the representative of its own orbit."""
     ra, rb = _fusion_reps(params, a, b)
-    index = orbit_index(params)
+    index = orbit_table(params).index
     s_side = w3modular.fusion_table(params.v - 3, ra.s, rb.s)
     return [index[RSLabel(r, s)] for r in w3modular.fusion_table(params.u - 3, ra.r, rb.r) for s in s_side]
 
 
-def fusion_oracle_suite(params, tol=None, window=2):
+def fusion_oracle_suite(params, tol=None):
     """The Verlinde oracle against the closed-form standard product on every
     simple candidate (a, b, ell, shift, c), with the verdict and detail of
     `verify.suite_fusion_oracle`.  For each a, every b's values form one
@@ -193,7 +202,7 @@ def fusion_oracle_suite(params, tol=None, window=2):
     js = [Fraction(1, 7), Fraction(2, 7)]
     classes = [
         (HalfInt.of(ell), _mod1(js[0] + js[1] + shift))
-        for ell in range(-window, window + 2)
+        for ell in range(-ORACLE_WINDOW, ORACLE_WINDOW + 2)
         for shift in (0, -4 * kappa, 2 * kappa, -2 * kappa)
     ]
     # the flat (class, orbit) positions of the simple candidates, in order
@@ -227,6 +236,64 @@ def fusion_oracle_suite(params, tol=None, window=2):
             got = verlinde.oracle_integers(params, a, b, values[ib, i : i + 1], lambda _: candidate_at(i))
             return False, f"oracle mismatch at {candidate_at(i)}: {got[0]} vs {want[ib, i]}"
     return True, f"{n * n * checked.size} coefficients"
+
+
+# ---------------------------------------------------------------------------
+# Names the library never calls
+
+
+def standard_to_twisted(params, label: StandardLabel) -> tuple:
+    """Present a standard label as a flowed module in the half-integer-flow grading."""
+    return label.ell + HalfInt.of(Fraction(1, 2)), _mod1(label.j - params.kappa), label.orbit
+
+
+def twisted_to_standard(params, ell, j, orbit) -> StandardLabel:
+    ell = HalfInt.of(ell)
+    return standard_label(_exact_charge(j) + params.kappa, orbit, ell - HalfInt.of(Fraction(1, 2)))
+
+
+def complete_symmetric_sum(x: complex, xs, m: int) -> complex:
+    """h_m(x1, x2, x3) scaled by x^m, summed directly."""
+    total = 0j
+    for p in range(m + 1):
+        for q in range(m + 1 - p):
+            total += xs[0] ** p * xs[1] ** q * xs[2] ** (m - p - q)
+    return x**m * total
+
+
+def symmetric_sum_closed_form_check(x, xs, v: int, tol: float = w3modular.DEFAULT_TOL) -> bool:
+    """The truncated generating function of complete symmetric polynomials
+    collapses when the three arguments share their v-th power."""
+    if len({round(z.real, 9) + 1j * round(z.imag, 9) for z in xs}) != 3:
+        raise w3modular.SingularInputError("arguments must be distinct")
+    for z in xs:
+        if abs(1 - x * z) < 1e3 * tol:
+            raise w3modular.SingularInputError("x is too close to an inverse argument")
+    powers = [z**v for z in xs]
+    if max(abs(p - powers[0]) for p in powers) > tol:
+        raise w3modular.SingularInputError("arguments must share their v-th power")
+    lhs = sum(complete_symmetric_sum(x, xs, m) for m in range(v - 2))
+    rhs = (1 - x**v * powers[1]) / ((1 - x * xs[0]) * (1 - x * xs[1]) * (1 - x * xs[2]))
+    return abs(lhs - rhs) <= tol
+
+
+def verlinde_oracle_row(params, a, b, ell, charge) -> np.ndarray:
+    """Coefficients of standard_label(charge, c, ell) in a x b for every orbit
+    c of `enumerate_infwts`, as one integer vector, from the library's
+    `VerlindeOracle`.  Nonsimple candidates, where the oracle is undefined,
+    read 0."""
+    charge, ell = _mod1(charge), HalfInt.of(ell)
+    simple = verlinde.simple_candidates(params, charge)
+    values = verlinde.VerlindeOracle(params, a, b).values(ell, charge)
+    orbits = orbit_table(params).orbits
+    out = verlinde.oracle_integers(params, a, b, values, lambda i: standard_label(charge, orbits[i], ell), simple)
+    out[~simple] = 0
+    return out
+
+
+def restrict(fs: FormalSum, pred) -> FormalSum:
+    """The terms of fs whose label satisfies pred."""
+    return FormalSum((label, coeff) for label, coeff in fs.items() if pred(label))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +439,7 @@ def _resolved_product(params, a: HWLabel, res_b: FormalSum, depth_at) -> FormalS
 
 def _zone(fs: FormalSum, top: int, width: int) -> FormalSum:
     """The terms of fs at flows in (top - width, top]; empty once fs has telescoped."""
-    return fs.restrict(lambda lab: 2 * (top - width) < lab.ell.twice <= 2 * top)
+    return restrict(fs, lambda lab: 2 * (top - width) < lab.ell.twice <= 2 * top)
 
 
 def fuse_general(params, a: HWLabel, b, depth: int | None = None) -> FormalSum:
@@ -413,11 +480,11 @@ def fuse_general(params, a: HWLabel, b, depth: int | None = None) -> FormalSum:
     product = _resolved_product(params, a, res_b, lambda flow: max(top2 - flow - flow_a + margin, 1))
 
     def settle(top: int) -> FormalSum:
-        raw = product.restrict(lambda lab: lab.ell.twice <= 2 * top)
+        raw = restrict(product, lambda lab: lab.ell.twice <= 2 * top)
         if not _zone(raw, top, period):
             return raw
         safe_top = top - margin
-        rewritten = rewrite_gaps(params, raw).restrict(lambda lab: lab.ell.twice <= 2 * safe_top)
+        rewritten = restrict(rewrite_gaps(params, raw), lambda lab: lab.ell.twice <= 2 * safe_top)
         unsettled = _zone(rewritten, safe_top, period)
         if unsettled:
             raise DepthNotStabilisedError(
@@ -429,8 +496,8 @@ def fuse_general(params, a: HWLabel, b, depth: int | None = None) -> FormalSum:
     out1 = settle(top1)
     out2 = settle(top2)
     window = top1 - period - margin
-    r1 = out1.restrict(lambda lab: lab.ell.twice <= 2 * window)
-    r2 = out2.restrict(lambda lab: lab.ell.twice <= 2 * window)
+    r1 = restrict(out1, lambda lab: lab.ell.twice <= 2 * window)
+    r2 = restrict(out2, lambda lab: lab.ell.twice <= 2 * window)
     if r1 != r2 or out2 != r2:
         raise DepthNotStabilisedError(
             f"fusion of {a} and {b} is not stable at depth {depth}:", params, a, b, depth, top2, out2 - r1

@@ -10,8 +10,10 @@ from math import gcd
 
 import pytest
 
+from fusion_reference import symmetric_sum_closed_form_check
 from bpfusion.labels import (
     FormalSum,
+    _mod1,
     gap_charges,
     hw_label,
     is_nonsimple_standard,
@@ -42,7 +44,6 @@ from bpfusion.verify import SUITES
 from bpfusion.w3modular import (
     ratio_weyl_character_check,
     sum_fund_modules_check,
-    symmetric_sum_closed_form_check,
     tensor_sum_check,
     w3_smatrix_entry,
     SingularInputError,
@@ -343,9 +344,10 @@ def test_criterion_13_gap_structure():
     orb43 = enumerate_infwts(p43)[0]
     orb34 = enumerate_infwts(p34)[0]
     # the quoted charge sets are read in the gradings their sources use:
-    # half-integer-flow for (4,3), the opposite integral regrading for (3,4)
-    assert gap_charges(p43, orb43, "twisted") == {Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)}
-    assert gap_charges(p34, orb34, "conjugate") == {Fraction(0), Fraction(1, 2), Fraction(3, 4)}
+    # half-integer-flow for (4,3), the integral charges less kappa, and the
+    # opposite integral regrading for (3,4), the integral charges less 2 kappa
+    assert {_mod1(j - p43.kappa) for j in gap_charges(p43, orb43)} == {Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)}
+    assert {_mod1(j - 2 * p34.kappa) for j in gap_charges(p34, orb34)} == {Fraction(0), Fraction(1, 2), Fraction(3, 4)}
     # in the integral-flow grading used by the kernel these same three
     # modules sit at {1/9, 4/9, 7/9} and {0, 1/4, 1/2}
     assert gap_charges(p43, orb43) == {Fraction(1, 9), Fraction(4, 9), Fraction(7, 9)}

@@ -56,7 +56,6 @@ from bpfusion.verlinde import (
     fuse_type3_standard,
     simple_candidates,
     verlinde_oracle,
-    verlinde_oracle_row,
 )
 from bpfusion.w3modular import (
     INTEGER_TOL,
@@ -478,7 +477,7 @@ def test_oracle_rows_equal_the_loop_oracle(u, v, pairs):
             for shift in (0, -4 * p.kappa, 2 * p.kappa, -2 * p.kappa):
                 charge = _mod1(ja + jb + shift)
                 mask = simple_candidates(p, charge)
-                row = verlinde_oracle_row(p, a, b, ell, charge)
+                row = reference.verlinde_oracle_row(p, a, b, ell, charge)
                 values = oracle.values(HalfInt.of(ell), charge)
                 assert np.array_equal(row, np.where(mask, np.rint(values.real), 0))
                 for c, orb in enumerate(orbs):
@@ -519,7 +518,7 @@ def test_rounding_names_what_failed():
         oracle_integers(p, a, b, np.array([np.nan]), cands.__getitem__)
 
 
-def loop_fusion_oracle_suite(params, window=2):
+def loop_fusion_oracle_suite(params):
     """The fusion-oracle suite as it was: one oracle call per candidate."""
     orbits = enumerate_infwts(params)
     kappa = params.kappa
@@ -530,7 +529,7 @@ def loop_fusion_oracle_suite(params, window=2):
             a = standard_label(js[0], orb_a, 0)
             b = standard_label(js[1], orb_b, 0)
             closed = verlinde.fuse_standard(params, a, b)
-            for ell in range(-window, window + 2):
+            for ell in range(-verify.ORACLE_WINDOW, verify.ORACLE_WINDOW + 2):
                 for shift in (0, -4 * kappa, 2 * kappa, -2 * kappa):
                     for orb_c in orbits:
                         cand = standard_label(js[0] + js[1] + shift, orb_c, ell)

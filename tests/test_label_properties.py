@@ -15,6 +15,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusion_reference import verlinde_oracle_row
 from bpfusion.labels import (
     HWLabel,
     StandardLabel,
@@ -34,7 +35,7 @@ from bpfusion.levels import (
     orbit_of,
     parse_orbit,
 )
-from bpfusion.verlinde import fuse_standard, fuse_sums, simple_candidates, verlinde_oracle_row
+from bpfusion.verlinde import fuse_standard, fuse_sums, simple_candidates
 
 PAIRS = [(u, v) for u in range(3, 9) for v in range(3, 9) if gcd(u, v) == 1]
 levels = st.sampled_from(PAIRS).map(lambda uv: level_params(*uv))

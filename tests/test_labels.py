@@ -4,8 +4,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from fusion_reference import standard_to_twisted, twisted_to_standard
 from bpfusion.labels import (
-    ConjugateNotHighestWeightError,
     FormalSum,
     HalfInt,
     HWLabel,
@@ -13,8 +13,6 @@ from bpfusion.labels import (
     _mod1,
     atypical_ses,
     conjugate_hw,
-    conjugate_twisted_hw,
-    flow_weight_shift,
     gap_charges,
     gap_decomposition,
     gap_member,
@@ -32,8 +30,6 @@ from bpfusion.labels import (
     spectral_flow,
     vacuum_label,
     standard_label,
-    standard_to_twisted,
-    twisted_to_standard,
 )
 from bpfusion.levels import (
     LabelError,
@@ -55,6 +51,55 @@ def lab(r, s):
     return RSLabel(tuple(r), tuple(s))
 
 
+# Flow and conjugation maps that the library never calls, kept with their tests.
+
+
+class ConjugateNotHighestWeightError(LabelError):
+    """The conjugated module has an infinite-dimensional top space."""
+
+
+def flow_weight_shift(params, j, delta, m) -> tuple[Fraction, Fraction]:
+    """Charge and conformal weight of the flow image of a weight vector."""
+    m = HalfInt.of(m).as_fraction()
+    j = Fraction(j)
+    return j + 2 * m * params.kappa, Fraction(delta) + m * j + m * m * params.kappa
+
+
+def conjugate_twisted_hw(params, label: HWLabel) -> HWLabel:
+    """Conjugate of a twisted highest-weight module, as a twisted label.
+
+    Only defined when the module's top space is finite-dimensional;
+    otherwise the conjugate is no highest-weight module and a typed
+    error is raised.
+    """
+    if label.ell.is_integer:
+        raise LabelError(f"{label} is untwisted; use conjugate_hw")
+    steps = label.ell - HalfInt.of(Fraction(1, 2))
+    if not (0 <= steps.twice // 2 <= orbit_type(params, label.lam) - 1):
+        raise LabelError(f"{label} is not a twisted highest-weight module")
+    nu = label.lam
+    for _ in range(steps.twice // 2):
+        flows = [img for m, img in hw_flow_maps(params, nu) if m == HalfInt.of(1)]
+        nu = flows[0]
+    if nu.s[1] != -1:
+        raise ConjugateNotHighestWeightError(
+            f"the top space of the twisted module over {nu} is infinite-dimensional"
+        )
+    r, s = nu.r, nu.s
+    image = RSLabel((r[2], r[1], r[0]), (s[2], -1, s[0]))
+    return hw_label(params, image, Fraction(1, 2))
+
+
+def twisted_gap_charges(params, orbit) -> set[Fraction]:
+    """The gap charges in the half-integer-flow grading: the integral ones less kappa."""
+    return {_mod1(j - params.kappa) for j in gap_charges(params, orbit)}
+
+
+def conjugate_gap_charges(params, orbit) -> set[Fraction]:
+    """The gap charges in the opposite integral regrading: the integral ones less 2 kappa."""
+    return {_mod1(j - 2 * params.kappa) for j in gap_charges(params, orbit)}
+
+
 SMALL_LEVELS = [(u, v) for u in range(3, 8) for v in range(3, 6) if gcd(u, v) == 1]
 
 
@@ -69,6 +114,21 @@ class TestHalfInt:
     def test_rejects_thirds(self):
         with pytest.raises(LabelError):
             HalfInt.of(Fraction(1, 3))
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, -0.0, 1e300])
+    def test_rejects_float_flows(self, x):
+        """A float is binary, so no exact flow, even where its value is a half-integer."""
+        p = level_params(4, 3)
+        lam, orb = enumerate_surv(p)[0], enumerate_infwts(p)[0]
+        takes = [
+            HalfInt.of,
+            lambda m: spectral_flow(p, hw_label(p, lam, 0), m),
+            lambda m: standard_label(Fraction(1, 7), orb, m),
+            lambda m: hw_label(p, lam, m),
+        ]
+        for take in takes:
+            with pytest.raises(LabelError, match=re.escape(f"flow {x!r} is a float")):
+                take(x)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, None, b"1", 1j])
     def test_rejects_non_finite_floats_and_non_numbers(self, x):
@@ -242,11 +302,11 @@ class TestGapStructure:
         orb43 = enumerate_infwts(p43)[0]
         orb34 = enumerate_infwts(p34)[0]
         third = Fraction(1, 3)
-        assert gap_charges(p43, orb43, "twisted") == {Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)}
+        assert twisted_gap_charges(p43, orb43) == {Fraction(1, 6), Fraction(1, 2), Fraction(5, 6)}
         assert gap_charges(p34, orb34) == {Fraction(0), Fraction(1, 4), Fraction(1, 2)}
-        assert gap_charges(p34, orb34, "twisted") == {Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)}
-        assert gap_charges(p34, orb34, "conjugate") == {Fraction(0), Fraction(1, 2), Fraction(3, 4)}
-        assert gap_charges(p43, orb43) == {x - Fraction(1, 18) for x in gap_charges(p43, orb43, "twisted")}
+        assert twisted_gap_charges(p34, orb34) == {Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)}
+        assert conjugate_gap_charges(p34, orb34) == {Fraction(0), Fraction(1, 2), Fraction(3, 4)}
+        assert gap_charges(p43, orb43) == {x - Fraction(1, 18) for x in twisted_gap_charges(p43, orb43)}
 
     def test_nonsimple_detection(self):
         p = level_params(3, 4)

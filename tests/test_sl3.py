@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import random
 
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from fusion_reference import fold_alcove, fold_fusion_table, peel_tensor
 from bpfusion.sl3 import (
+    RHO,
     WEYL,
+    _mat_apply,
     fusion_table,
     kac_walton,
     rep_dimension,
@@ -16,9 +19,16 @@ from bpfusion.sl3 import (
     tensor_decompose,
     triality,
     weight_multiplicities,
+    ip_c,
     weyl_character,
-    weyl_character_quotient,
 )
+
+
+def weyl_character_quotient(t, xi) -> complex:
+    """Weyl-quotient form of the character; singular where the denominator vanishes."""
+    num = sum(d * cmath.exp(ip_c(_mat_apply(m, (t[0] + 1, t[1] + 1)), xi)) for m, d in WEYL)
+    den = sum(d * cmath.exp(ip_c(_mat_apply(m, RHO), xi)) for m, d in WEYL)
+    return num / den
 
 
 def weights(level):

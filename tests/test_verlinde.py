@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 
 import fusion_reference as reference
+from fusion_reference import restrict, standard_to_twisted, twisted_to_standard
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,6 @@ from bpfusion.labels import (
     orbit_type,
     resolution,
     standard_label,
-    standard_to_twisted,
-    twisted_to_standard,
 )
 from bpfusion.levels import (
     LabelError,
@@ -31,7 +30,6 @@ from bpfusion.levels import (
     enumerate_surv,
     j_of,
     level_params,
-    orbit_index,
     orbit_of,
     orbit_table,
 )
@@ -663,8 +661,8 @@ class TestGeneralFusion:
         product = FormalSum.combine(
             (fuse_standard(p, x, y), cx * cy) for x, cx in res_a.items() for y, cy in res_b.items()
         )
-        raw = product.restrict(lambda t: t.ell.twice <= 2 * top)
-        settled = rewrite_gaps(p, raw).restrict(lambda t: 2 * (top - 4 - period) < t.ell.twice <= 2 * (top - 4))
+        raw = restrict(product, lambda t: t.ell.twice <= 2 * top)
+        settled = restrict(rewrite_gaps(p, raw), lambda t: 2 * (top - 4 - period) < t.ell.twice <= 2 * (top - 4))
         assert err.terms == settled
         assert settled == FormalSum(
             [(parse_label(p, "I[1,1,0;0,0,1]^3"), 1), (parse_label(p, "I[1,0,1;0,-1,2]^4"), 1)]
@@ -1030,7 +1028,7 @@ def _shift_probe(params):
         row = []
         for sign in (-1, 1):
             for step in OMEGA_SHIFTS:
-                f = orbit_index(params).get(RSLabel(orb.rep.r, tuple(x + sign * d for x, d in zip(orb.rep.s, step))))
+                f = table.index.get(RSLabel(orb.rep.r, tuple(x + sign * d for x, d in zip(orb.rep.s, step))))
                 row.append(table.position[f] if f else -1)
         out.append(row)
     return out

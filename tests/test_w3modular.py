@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusion_reference import complete_symmetric_sum, symmetric_sum_closed_form_check
 from bpfusion import verify, w3modular
 from bpfusion.levels import (
     RSLabel,
@@ -26,12 +27,10 @@ from bpfusion.sl3 import WEYL, _mat_apply
 from bpfusion.w3modular import (
     SingularInputError,
     W3SMatrix,
-    complete_symmetric_sum,
     cexp,
     ratio_weyl_character_check,
     sigma_phase_checks,
     sum_fund_modules_check,
-    symmetric_sum_closed_form_check,
     tensor_sum_check,
     w3_fusion,
     w3_smatrix_entry,
