@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # unexported names with no caller in src/, each kept for one outside it
 KEPT = {
-    "fuse_sums",  # fuse extended to formal sums, which the associativity checks fuse
+    "fuse_sums",  # fuse on formal sums: the associativity property test calls it
     "w3_fusion_with_label",  # a name perfbench's tracer wraps
     "w3_verlinde",  # a name perfbench's tracer wraps; its warm-up calls it
 }

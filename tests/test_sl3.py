@@ -57,8 +57,6 @@ class TestWeightMultiplicities:
 
     def test_weyl_invariance(self):
         wm = weight_multiplicities((3, 1))
-        from bpfusion.sl3 import _mat_apply
-
         for mu, m in wm.items():
             for w, _ in WEYL:
                 assert wm[_mat_apply(w, mu)] == m
@@ -83,10 +81,6 @@ class TestWeylCharacter:
 
     def test_symmetric_powers_are_complete_homogeneous(self):
         # chi form_m(0,m) equals h_m of the three antifundamental exponentials
-        import cmath
-
-        from bpfusion.sl3 import ip_c
-
         xi = (0.21 - 0.52j, 0.77 + 0.31j)
         xs = [cmath.exp(ip_c(mu, xi)) for mu in [(0, 1), (1, -1), (-1, 0)]]
         for m in range(5):
